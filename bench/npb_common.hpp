@@ -90,10 +90,6 @@ inline bool run_npb_figure(const std::string& slug, const std::string& figure,
              4);
   report.add("des_noc_ticks", static_cast<std::int64_t>(ticks));
   report.add("des_cycles_skipped", static_cast<std::int64_t>(skipped));
-  report.add("queue_impl", EventQueue::default_impl() ==
-                                   EventQueue::Impl::kCalendar
-                               ? std::string("calendar")
-                               : std::string("heap"));
   report.add_cost_breakdown(data.cost);
   report.write();
   return true;

@@ -1,9 +1,9 @@
 /// Scheduling throughput of the discrete-event core. The DES dispatches
-/// one callback per simulated pipeline step, so schedule+dispatch cost
-/// bounds full-system simulation speed. EventQueue stores its callbacks
-/// in a SmallFunction whose inline buffer absorbs the simulator's typical
-/// captures — this bench tracks the events/second that buys us and writes
-/// the headline number to BENCH_event_queue.json.
+/// one typed event per simulated pipeline step, so schedule+dispatch cost
+/// bounds full-system simulation speed. This bench tracks the
+/// events/second of EventQueue's typed path (function pointer + inline
+/// Message, no allocation) and writes the headline number to
+/// BENCH_event_queue.json.
 
 #include <chrono>
 #include <cstdint>
@@ -13,26 +13,39 @@
 
 namespace {
 
+/// State shared by the chain events of one run.
+struct ChainRun {
+  aqua::EventQueue* q;
+  std::uint64_t dispatched;
+};
+
+/// One chain hop: `msg.line` carries the hops the chain has left.
+void chain_hop(void* ctx, void* target, const aqua::Message& msg) {
+  auto* run = static_cast<ChainRun*>(ctx);
+  ++run->dispatched;
+  if (msg.line <= 1) return;
+  aqua::Message next = msg;
+  next.line = msg.line - 1;
+  run->q->schedule_typed_in(1 + next.line % 3, chain_hop, ctx, target, next);
+}
+
 /// Self-rescheduling chains: `chains` events are live at any moment, each
 /// reschedules itself `hops` times — the DES steady-state access pattern
-/// (heap push + pop + small-closure dispatch per event).
+/// (calendar push + pop + typed dispatch per event).
 std::uint64_t run_chains(std::size_t chains, std::uint64_t hops) {
   aqua::EventQueue q;
-  std::uint64_t dispatched = 0;
-  struct Chain {
-    aqua::EventQueue* q;
-    std::uint64_t* dispatched;
-    std::uint64_t remaining;
-    void operator()() {
-      ++*dispatched;
-      if (--remaining > 0) q->schedule_in(1 + remaining % 3, Chain(*this));
-    }
-  };
+  ChainRun run{&q, 0};
+  aqua::Message msg;
+  msg.line = hops;
   for (std::size_t c = 0; c < chains; ++c) {
-    q.schedule(c % 7, Chain{&q, &dispatched, hops});
+    q.schedule_typed(c % 7, chain_hop, &run, nullptr, msg);
   }
   q.run();
-  return dispatched;
+  return run.dispatched;
+}
+
+void count_hit(void* ctx, void*, const aqua::Message&) {
+  ++*static_cast<std::uint64_t*>(ctx);
 }
 
 void microbench_schedule_dispatch(benchmark::State& state) {
@@ -53,7 +66,7 @@ void microbench_bulk_drain(benchmark::State& state) {
     aqua::EventQueue q;
     std::uint64_t hits = 0;
     for (std::size_t i = 0; i < events; ++i) {
-      q.schedule(i % 97, [&hits] { ++hits; });
+      q.schedule_typed(i % 97, count_hit, &hits, nullptr, aqua::Message{});
     }
     q.run();
     total += hits;

@@ -2,9 +2,8 @@
 /// mix (a frequency-vs-chips sweep plus an NPB experiment) at 1/2/4/8
 /// workers, with a bit-identity gate — every worker count must render
 /// byte-identical tables to the 1-worker reference, or the bench exits
-/// non-zero. Also records the ThreadPool dispatch before/after: the legacy
-/// submit() path (per-task shared_ptr<packaged_task> + future) vs. the
-/// post() fast path vs. the engine's batch dispatch.
+/// non-zero. Also records the engine's batch dispatch rate for empty
+/// tasks.
 ///
 /// Emits BENCH_sweep_parallel.json (schema v4). AQUA_NPB_SCALE scales the
 /// DES portion as usual; the sweep cache/journal/shard env is cleared so
@@ -12,13 +11,11 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <future>
 #include <iostream>
 #include <sstream>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "power/chip_model.hpp"
 #include "resilience/journal.hpp"
@@ -103,28 +100,8 @@ MixResult run_mix(std::size_t workers) {
   return r;
 }
 
-/// Dispatch-overhead micro-numbers: tasks/sec through each path for the
-/// same 100k empty tasks. submit() is the legacy (before) path; post()
-/// (via parallel_for's latch) and the engine batch are the fast paths.
+/// Dispatch overhead: tasks/sec through the engine for 100k empty tasks.
 constexpr std::size_t kNoopTasks = 100000;
-
-double submit_tasks_per_sec() {
-  aqua::ThreadPool& pool = aqua::shared_pool();
-  std::vector<std::future<void>> futures;
-  futures.reserve(kNoopTasks);
-  const double t0 = now_seconds();
-  for (std::size_t i = 0; i < kNoopTasks; ++i) {
-    futures.push_back(pool.submit([] {}));
-  }
-  for (auto& f : futures) f.get();
-  return static_cast<double>(kNoopTasks) / (now_seconds() - t0);
-}
-
-double post_tasks_per_sec() {
-  const double t0 = now_seconds();
-  aqua::parallel_for(kNoopTasks, [](std::size_t) {});
-  return static_cast<double>(kNoopTasks) / (now_seconds() - t0);
-}
 
 double engine_tasks_per_sec() {
   std::vector<aqua::sweep::TaskEngine::Task> tasks(kNoopTasks);
@@ -193,14 +170,9 @@ int main(int argc, char** argv) {
   }
   aqua::sweep::TaskEngine::shared().configure(0);
 
-  const double submit_rate = submit_tasks_per_sec();
-  const double post_rate = post_tasks_per_sec();
   const double engine_rate = engine_tasks_per_sec();
-  std::cout << "dispatch tasks/sec: submit(packaged_task)=" << submit_rate
-            << " post=" << post_rate << " engine=" << engine_rate << "\n\n";
-  report.add("pool_submit_tasks_per_sec", submit_rate)
-      .add("pool_post_tasks_per_sec", post_rate)
-      .add("engine_tasks_per_sec", engine_rate)
+  std::cout << "dispatch tasks/sec: engine=" << engine_rate << "\n\n";
+  report.add("engine_tasks_per_sec", engine_rate)
       .add("tables_identical", identical);
   report.write();
 

@@ -1,6 +1,8 @@
 /// Verify-reproduction: the "model card" — runs every headline claim of
 /// EXPERIMENTS.md live (coarse grids, small workloads) and prints PASS /
-/// FAIL per claim. A downstream user's first stop after building.
+/// FAIL per claim. Each row shows the paper's value next to the band the
+/// row actually checks, so a PASS says exactly what was verified. A
+/// downstream user's first stop after building.
 ///
 ///   $ ./build/examples/verify_reproduction
 
@@ -16,12 +18,15 @@
 namespace {
 
 struct Card {
-  aqua::Table table{{"claim", "paper", "measured", "verdict"}};
+  aqua::Table table{{"claim", "paper", "checked", "measured", "verdict"}};
   int failures = 0;
 
+  /// `checked` states the band `ok` tests, in the row's units.
   void check(const std::string& claim, const std::string& paper,
-             const std::string& measured, bool ok) {
-    table.row().add(claim).add(paper).add(measured).add(ok ? "PASS" : "FAIL");
+             const std::string& checked, const std::string& measured,
+             bool ok) {
+    table.row().add(claim).add(paper).add(checked).add(measured).add(
+        ok ? "PASS" : "FAIL");
     failures += ok ? 0 : 1;
   }
 };
@@ -39,11 +44,12 @@ int main() {
         frequency_vs_chips(make_low_power_cmp(), 9, 80.0, grid);
     const std::size_t air = lp.max_feasible_chips(CoolingKind::kAir);
     const std::size_t pipe = lp.max_feasible_chips(CoolingKind::kWaterPipe);
-    card.check("air dies early (low-power)", "<= 4 chips",
+    card.check("air dies early (low-power)", "<= 4 chips", "3..5 chips",
                std::to_string(air) + " chips", air >= 3 && air <= 5);
-    card.check("water-pipe boundary (low-power)", "7 chips",
+    card.check("water-pipe boundary (low-power)", "7 chips", "== 7 chips",
                std::to_string(pipe) + " chips", pipe == 7);
     card.check("immersion carries 8 low-power chips (Fig. 11 setup)", "yes",
+               ">= 8 chips",
                lp.max_feasible_chips(CoolingKind::kWaterImmersion) >= 8
                    ? "yes"
                    : "no",
@@ -58,14 +64,15 @@ int main() {
       if (oil_g && water_g && *oil_g > *water_g) ordered = false;
     }
     card.check("coolant ordering pipe <= oil <= water", "holds",
-               ordered ? "holds" : "violated", ordered);
+               "feasible cells, 1..9 chips", ordered ? "holds" : "violated",
+               ordered);
   }
   {
     const FreqVsChipsData hf =
         frequency_vs_chips(make_high_frequency_cmp(), 8, 80.0, grid);
     const std::size_t pipe = hf.max_feasible_chips(CoolingKind::kWaterPipe);
     card.check("water-pipe carries 8 high-freq chips (Fig. 13 setup)",
-               "yes", pipe >= 8 ? "yes" : "no", pipe >= 8);
+               "yes", ">= 8 chips", pipe >= 8 ? "yes" : "no", pipe >= 8);
   }
 
   // --- NPB gains (Figs. 10-13, small-scale run) ---
@@ -76,6 +83,7 @@ int main() {
     const auto mean = npb.mean_relative(CoolingKind::kWaterImmersion);
     const double gain = mean ? (1.0 - *mean) * 100.0 : -1.0;
     card.check("water beats water-pipe on NPB", "up to ~14% (6 chips)",
+               "> 2% and < 30% mean",
                format_double(gain, 1) + "% (4 chips, quick run)",
                mean.has_value() && gain > 2.0 && gain < 30.0);
   }
@@ -86,6 +94,7 @@ int main() {
     const double air = board.chip_temperature_c(BoardCooling::kForcedAir);
     const double full = board.chip_temperature_c(BoardCooling::kFullImmersion);
     card.check("full immersion ~20 C below air (prototype)", "76 -> 56 C",
+               "each within 2 C",
                format_double(air, 1) + " -> " + format_double(full, 1) + " C",
                std::abs(air - 76.0) < 2.0 && std::abs(full - 56.0) < 2.0);
   }
@@ -97,7 +106,7 @@ int main() {
                                        grid);
     const double gain = points.back().temperature_no_flip_c -
                         points.back().temperature_flip_c;
-    card.check("flip lowers 3.6 GHz peak", "~13 C",
+    card.check("flip lowers 3.6 GHz peak", "~13 C", "> 5 C",
                format_double(gain, 1) + " C", gain > 5.0);
   }
 
@@ -116,6 +125,7 @@ int main() {
       if (s.type == ComponentType::kUsb) usb = rate;
     }
     card.check("PCIex4 is the weak spot; USB survives", "5/5 vs 0/5",
+               "> 0.80 vs < 0.15",
                format_double(pcie, 2) + " vs " + format_double(usb, 2),
                pcie > 0.8 && usb < 0.15);
   }
@@ -123,7 +133,7 @@ int main() {
   // --- PUE (Section 4.4) ---
   {
     const auto pue = facility_comparison(100.0);
-    card.check("direct natural water PUE", "~1.00",
+    card.check("direct natural water PUE", "~1.00", "< 1.01",
                format_double(pue.back().pue, 3), pue.back().pue < 1.01);
   }
 

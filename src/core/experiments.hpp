@@ -117,8 +117,8 @@ struct NpbData {
 /// Runs the nine NPB profiles on a `chips`-high stack of `chip` under the
 /// non-air cooling options (the paper omits air for 6+ chips), normalized
 /// to `baseline`. `instruction_scale` scales per-thread instruction counts
-/// (1.0 = the default profile length). The 9 x 4 simulations run on the
-/// process-wide shared pool. A non-empty `faults` plan is injected into
+/// (1.0 = the default profile length). The 9 x 4 simulations run as
+/// sweep cells on the process-wide task engine. A non-empty `faults` plan is injected into
 /// every DES run (same plan per cell, so relative times stay comparable)
 /// and marks the result degraded; an empty plan leaves the runs
 /// bit-identical to the pre-fault-layer pipeline.

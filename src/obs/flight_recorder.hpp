@@ -66,12 +66,6 @@ class FlightRecorder {
   static constexpr const char* kSteal = "engine.steal";
   static constexpr const char* kClaim = "engine.claim";
   static constexpr const char* kQueueDepth = "engine.queue_depth";
-  // Conservative-PDES markers (perf/pdes.hpp): sampled window progress and
-  // the per-partition event totals a run emits when it finishes. The
-  // `des.partition` markers are what `trace_tools critical-path` uses to
-  // split a strict chain's cost across partition lanes.
-  static constexpr const char* kDesWindow = "des.window";
-  static constexpr const char* kDesPartition = "des.partition";
 
   static FlightRecorder& instance();
 
@@ -121,17 +115,6 @@ class FlightRecorder {
   /// Sample: `worker`'s own queue depth after a pop.
   void queue_depth(std::uint32_t worker, std::uint32_t depth) {
     mark(kQueueDepth, pack_pair(worker, depth));
-  }
-
-  /// Sample: PDES window `window` closed after firing `events` events.
-  void des_window(std::uint32_t window, std::uint32_t events) {
-    mark(kDesWindow, pack_pair(window, events));
-  }
-
-  /// Summary: PDES `partition` executed `events` events this run (the
-  /// last partition index of a run is the NoC fabric process).
-  void des_partition(std::uint32_t partition, std::uint32_t events) {
-    mark(kDesPartition, pack_pair(partition, events));
   }
 
  private:

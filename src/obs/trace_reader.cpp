@@ -4,7 +4,6 @@
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -57,6 +56,22 @@ class Parser {
     ++pos_;
   }
 
+  /// Counts one object/array nesting level for its lifetime.
+  class Nest {
+   public:
+    explicit Nest(Parser& p) : p_(p) {
+      if (++p_.depth_ > kJsonMaxDepth) {
+        p_.fail("nesting deeper than " + std::to_string(kJsonMaxDepth));
+      }
+    }
+    ~Nest() { --p_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser& p_;
+  };
+
   bool consume_literal(std::string_view lit) {
     if (text_.substr(pos_, lit.size()) != lit) return false;
     pos_ += lit.size();
@@ -97,6 +112,7 @@ class Parser {
   }
 
   JsonValue parse_object() {
+    const Nest nest(*this);
     expect('{');
     JsonValue v;
     v.kind = JsonValue::Kind::kObject;
@@ -126,6 +142,7 @@ class Parser {
   }
 
   JsonValue parse_array() {
+    const Nest nest(*this);
     expect('[');
     JsonValue v;
     v.kind = JsonValue::Kind::kArray;
@@ -228,6 +245,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< objects/arrays open at pos_
 };
 
 double number_or(const JsonValue& obj, std::string_view key, double fallback) {
@@ -438,58 +456,10 @@ CriticalPathSummary critical_path_of(
   double window_start = 0.0;
   double window_end = 0.0;
   bool any = false;
-
-  // Pass 1: index the task spans so the PDES partition markers (emitted
-  // inside a cell's run, i.e. within its task span on the same thread)
-  // can be attributed to their spans.
-  struct SpanInfo {
-    const ParsedTraceEvent* span = nullptr;
-    std::map<std::uint32_t, std::uint64_t> partition_events;
-  };
-  std::vector<SpanInfo> spans;
   for (const ParsedTraceEvent& e : events) {
-    if (is_task_span(e)) spans.push_back(SpanInfo{&e, {}});
-  }
-  std::set<std::uint32_t> partitions_seen;
-  for (const ParsedTraceEvent& e : events) {
-    if (std::string_view(e.name) != FlightRecorder::kDesPartition ||
-        !e.has_arg) {
-      continue;
-    }
-    partitions_seen.insert(pair_hi(e.arg));
-    for (SpanInfo& s : spans) {
-      const ParsedTraceEvent& t = *s.span;
-      if (t.tid == e.tid && e.ts_us >= t.ts_us &&
-          e.ts_us <= t.ts_us + t.dur_us) {
-        s.partition_events[pair_hi(e.arg)] += pair_lo(e.arg);
-        break;
-      }
-    }
-  }
-  summary.pdes_partitions = partitions_seen.size();
-
-  // A task's intra-cell serial bound: its duration scaled by the busiest
-  // partition lane's share of executed events. Tasks without markers keep
-  // their whole duration (whole-cell atomicity).
-  const auto pdes_scaled = [](const SpanInfo& s) {
-    std::uint64_t total = 0;
-    std::uint64_t largest = 0;
-    for (const auto& [p, n] : s.partition_events) {
-      total += n;
-      largest = std::max(largest, n);
-    }
-    if (total == 0) return s.span->dur_us;
-    return s.span->dur_us * (static_cast<double>(largest) /
-                             static_cast<double>(total));
-  };
-
-  double longest_pdes_task = 0.0;
-  for (const SpanInfo& s : spans) {
-    const ParsedTraceEvent& e = *s.span;
-    const double scaled = pdes_scaled(s);
+    if (!is_task_span(e)) continue;
     summary.total_task_us += e.dur_us;
     summary.longest_task_us = std::max(summary.longest_task_us, e.dur_us);
-    longest_pdes_task = std::max(longest_pdes_task, scaled);
     if (!any || e.ts_us < window_start) window_start = e.ts_us;
     if (!any || e.ts_us + e.dur_us > window_end) {
       window_end = e.ts_us + e.dur_us;
@@ -503,17 +473,14 @@ CriticalPathSummary critical_path_of(
     row.worker = worker_of(e);
     ++row.tasks;
     row.total_us += e.dur_us;
-    row.pdes_total_us += scaled;
   }
   summary.window_us = any ? window_end - window_start : 0.0;
 
-  double longest_pdes_chain = 0.0;
   for (auto& [chain, row] : chains) {
     if (row.total_us > summary.longest_chain_us) {
       summary.longest_chain_us = row.total_us;
       summary.longest_chain = chain;
     }
-    longest_pdes_chain = std::max(longest_pdes_chain, row.pdes_total_us);
     summary.chains.push_back(row);
   }
   std::sort(summary.chains.begin(), summary.chains.end(),
@@ -522,7 +489,6 @@ CriticalPathSummary critical_path_of(
             });
   summary.floor_us = std::max(summary.longest_chain_us,
                               summary.longest_task_us);
-  summary.pdes_floor_us = std::max(longest_pdes_chain, longest_pdes_task);
   return summary;
 }
 

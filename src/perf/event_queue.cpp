@@ -1,116 +1,39 @@
 #include "perf/event_queue.hpp"
 
 #include <bit>
-#include <cstdlib>
-#include <string_view>
-#include <utility>
 
 #include "common/error.hpp"
 
 namespace aqua {
 
-namespace {
-
-EventQueue::Impl& default_impl_slot() {
-  static EventQueue::Impl impl = [] {
-    const char* env = std::getenv("AQUA_DES_QUEUE");
-    if (env != nullptr && std::string_view(env) == "heap") {
-      return EventQueue::Impl::kBinaryHeap;
-    }
-    return EventQueue::Impl::kCalendar;
-  }();
-  return impl;
-}
-
-}  // namespace
-
-EventQueue::Impl EventQueue::default_impl() { return default_impl_slot(); }
-
-void EventQueue::set_default_impl(Impl impl) { default_impl_slot() = impl; }
-
-EventQueue::EventQueue(Impl impl) : impl_(impl) {
+EventQueue::EventQueue() {
   static_assert((kNearHorizon & (kNearHorizon - 1)) == 0,
                 "ring size must be a power of two");
-  if (impl_ == Impl::kCalendar) {
-    ring_.resize(static_cast<std::size_t>(kNearHorizon));
-  }
+  ring_.resize(static_cast<std::size_t>(kNearHorizon));
 }
 
-void EventQueue::push(Entry&& e) {
+void EventQueue::schedule_typed(Cycle when, TypedFn fn, void* ctx,
+                                void* target, const Message& msg) {
   // Hot path: build the error string only on failure.
-  if (e.when < now_) require(false, "cannot schedule an event in the past");
+  if (when < now_) require(false, "cannot schedule an event in the past");
+  const Entry e{when, seq_++, fn, ctx, target, msg};
   ++pending_;
   if (pending_ > max_pending_) max_pending_ = pending_;
-  if (impl_ == Impl::kCalendar && e.when - now_ < kNearHorizon) {
-    Bucket& b = ring_[e.when & (kNearHorizon - 1)];
+  if (when - now_ < kNearHorizon) {
+    const std::size_t slot = when & (kNearHorizon - 1);
+    Bucket& b = ring_[slot];
     if (b.next == b.entries.size()) {
       // Bucket is logically empty: recycle any consumed storage (keeping
       // its capacity) and flag the slot in the bitmap.
       b.entries.clear();
       b.next = 0;
-      const std::size_t slot = e.when & (kNearHorizon - 1);
       bitmap_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
     }
-    b.entries.push_back(std::move(e));
+    b.entries.push_back(e);
     ++ring_count_;
   } else {
-    heap_.push(std::move(e));
+    heap_.push(e);
   }
-}
-
-void EventQueue::schedule(Cycle when, Callback fn) {
-  Entry e;
-  e.when = when;
-  e.seq = seq_++;
-  e.fn = std::move(fn);
-  push(std::move(e));
-}
-
-void EventQueue::schedule_typed(Cycle when, TypedFn fn, void* ctx,
-                                void* target, const Message& msg) {
-  Entry e;
-  e.when = when;
-  e.seq = seq_++;
-  e.typed = fn;
-  e.ctx = ctx;
-  e.target = target;
-  e.msg = msg;
-  ++typed_;
-  push(std::move(e));
-}
-
-void EventQueue::schedule_typed_stamped(Cycle when, std::uint64_t stamp,
-                                        TypedFn fn, void* ctx, void* target,
-                                        const Message& msg) {
-  Entry e;
-  e.when = when;
-  e.seq = stamp;
-  e.typed = fn;
-  e.ctx = ctx;
-  e.target = target;
-  e.msg = msg;
-  // seq_ keeps counting schedules so scheduled() stays meaningful, but the
-  // entry's tie-break is the caller's stamp.
-  ++seq_;
-  ++typed_;
-  push(std::move(e));
-}
-
-EventQueue::Key EventQueue::next_key() const {
-  if (pending_ == 0) ensure(false, "next_key on empty event queue");
-  // Mirror step()'s source selection exactly: heap-first on a tied cycle.
-  if (ring_count_ == 0) {
-    const Entry& top = heap_.top();
-    return Key{top.when, top.seq};
-  }
-  const Cycle ring_time = next_ring_time();
-  if (!heap_.empty() && heap_.top().when <= ring_time) {
-    const Entry& top = heap_.top();
-    return Key{top.when, top.seq};
-  }
-  const Bucket& b = ring_[ring_time & (kNearHorizon - 1)];
-  const Entry& e = b.entries[b.next];
-  return Key{e.when, e.seq};
 }
 
 Cycle EventQueue::next_ring_time() const {
@@ -143,35 +66,29 @@ Cycle EventQueue::next_time() const {
 
 void EventQueue::step() {
   if (pending_ == 0) ensure(false, "step on empty event queue");
+  --pending_;
 
   // Pick the event source for this step. On a tied cycle the heap drains
   // first: its entries were scheduled while the cycle was beyond the ring
   // horizon, i.e. before any ring entry for that cycle, so heap-first is
   // exact FIFO (see the header's determinism note).
-  bool from_heap;
-  if (ring_count_ == 0) {
-    from_heap = true;
-  } else {
-    from_heap = !heap_.empty() && heap_.top().when <= next_ring_time();
-  }
-
-  --pending_;
-  if (from_heap) {
-    // priority_queue::top is const; the entry must be moved out before pop.
-    Entry e = std::move(const_cast<Entry&>(heap_.top()));
+  const Cycle ring_time = ring_count_ == 0 ? ~Cycle{0} : next_ring_time();
+  if (ring_count_ == 0 ||
+      (!heap_.empty() && heap_.top().when <= ring_time)) {
+    const Entry e = heap_.top();
     heap_.pop();
     now_ = e.when;
-    e.fire();
+    e.fn(e.ctx, e.target, e.msg);
     return;
   }
 
-  const Cycle t = next_ring_time();
-  const std::size_t slot = static_cast<std::size_t>(t & (kNearHorizon - 1));
+  const std::size_t slot =
+      static_cast<std::size_t>(ring_time & (kNearHorizon - 1));
   Bucket& b = ring_[slot];
-  // Move the entry out and finish all bucket bookkeeping before firing:
-  // the callback may schedule into this same bucket (reallocating its
-  // vector) or fast-forward now_ past it.
-  Entry e = std::move(b.entries[b.next]);
+  // Copy the entry out and finish all bucket bookkeeping before firing:
+  // the handler may schedule into this same bucket (reallocating its
+  // vector).
+  const Entry e = b.entries[b.next];
   ++b.next;
   if (b.next == b.entries.size()) {
     b.entries.clear();
@@ -179,8 +96,8 @@ void EventQueue::step() {
     bitmap_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
   }
   --ring_count_;
-  now_ = t;
-  e.fire();
+  now_ = ring_time;
+  e.fn(e.ctx, e.target, e.msg);
 }
 
 void EventQueue::step_cycle() {

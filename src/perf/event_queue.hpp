@@ -4,9 +4,9 @@
 ///
 /// The DES schedule pattern is near-monotonic with short deltas: almost
 /// every event lands within a few tens of cycles of `now` (pipeline
-/// latencies, `schedule_in(1)` pumps, L1/L2 tag latencies), with a thin
-/// far-future tail (DRAM completions behind a busy controller). The default
-/// implementation exploits this with a two-tier *calendar queue*:
+/// latencies, `schedule_typed_in(1)` pumps, L1/L2 tag latencies), with a
+/// thin far-future tail (DRAM completions behind a busy controller). The
+/// queue exploits this with a two-tier *calendar queue*:
 ///
 ///  - a ring of `kNearHorizon` buckets, one cycle per bucket, for events in
 ///    `[now, now + kNearHorizon)` — push is an append, pop is a bitmap scan
@@ -18,20 +18,19 @@
 /// preserve this exactly: an overflow entry for cycle `t` was necessarily
 /// scheduled while `t` was still beyond the ring horizon, i.e. before every
 /// ring entry for `t` existed, so draining the heap first on a tied cycle
-/// is precisely FIFO order. The legacy single-heap implementation is kept
-/// behind `Impl::kBinaryHeap` so tests and benches can verify the two
-/// produce bit-identical simulations (see tests/perf/test_queue_invariance).
+/// is precisely FIFO order. tests/perf/test_event_queue_params.cpp checks
+/// the pop order against a plain binary-heap reference queue.
 ///
-/// Hot events (core advance, message delivery) avoid the SmallFunction
-/// dispatch entirely: `schedule_typed` stores a bare function pointer plus
-/// two context pointers and a Message payload inline in the entry.
+/// Every event is typed: a bare function pointer plus two context pointers
+/// and a Message payload stored inline in the entry, so scheduling never
+/// allocates and entries move as plain bytes.
 
 #include <array>
 #include <cstdint>
 #include <queue>
+#include <type_traits>
 #include <vector>
 
-#include "common/small_function.hpp"
 #include "perf/params.hpp"
 #include "perf/protocol.hpp"
 
@@ -40,67 +39,25 @@ namespace aqua {
 /// Deterministic discrete-event queue.
 class EventQueue {
  public:
-  /// Event callback. SmallFunction keeps typical simulator closures (a
-  /// `this` pointer plus a couple of operands) inline in the entry instead
-  /// of behind a std::function heap allocation — scheduling is the DES hot
-  /// path (see bench/perf_event_queue).
-  using Callback = SmallFunction<void()>;
-
-  /// Typed fast-path event: a plain function pointer invoked as
-  /// `fn(ctx, target, msg)`. The two pointers identify the simulator and
-  /// the core/bank the event acts on; the Message rides inline.
+  /// Event handler, invoked as `fn(ctx, target, msg)`. The two pointers
+  /// identify the simulator and the core/bank the event acts on; the
+  /// Message rides inline.
   using TypedFn = void (*)(void* ctx, void* target, const Message& msg);
-
-  enum class Impl : std::uint8_t {
-    kCalendar,    ///< bucket ring + overflow heap (default)
-    kBinaryHeap,  ///< legacy single std::priority_queue
-  };
 
   /// Width of the calendar ring in cycles. Must be a power of two.
   static constexpr Cycle kNearHorizon = 1024;
 
-  explicit EventQueue(Impl impl = default_impl());
-
-  /// Implementation used by default-constructed queues. Initialized from
-  /// the AQUA_DES_QUEUE environment variable ("heap" selects the legacy
-  /// binary heap), overridable at runtime for A/B tests and benches.
-  static Impl default_impl();
-  static void set_default_impl(Impl impl);
-
-  [[nodiscard]] Impl impl() const { return impl_; }
+  EventQueue();
 
   /// Schedules `fn` to run at absolute cycle `when` (>= now()).
-  void schedule(Cycle when, Callback fn);
-
-  /// Schedules `fn` `delay` cycles from now.
-  void schedule_in(Cycle delay, Callback fn) {
-    schedule(now_ + delay, std::move(fn));
-  }
-
-  /// Typed fast-path variants of schedule / schedule_in.
   void schedule_typed(Cycle when, TypedFn fn, void* ctx, void* target,
                       const Message& msg);
+
+  /// Schedules `fn` `delay` cycles from now.
   void schedule_typed_in(Cycle delay, TypedFn fn, void* ctx, void* target,
                          const Message& msg) {
     schedule_typed(now_ + delay, fn, ctx, target, msg);
   }
-
-  /// Typed schedule with an externally supplied tie-break sequence number
-  /// (the PDES scheduler's global stamp, perf/pdes.hpp). Stamps pushed into
-  /// one queue must be monotonically increasing over wall order — the same
-  /// property the internal counter has — so the ring-bucket FIFO and the
-  /// heap-first-on-tied-cycle rule still pop the minimum (when, stamp).
-  void schedule_typed_stamped(Cycle when, std::uint64_t stamp, TypedFn fn,
-                              void* ctx, void* target, const Message& msg);
-
-  /// Ordering key of the earliest pending event — what step() would fire
-  /// next. Only valid when !empty(). Lets a merge executor compare several
-  /// queues without popping.
-  struct Key {
-    Cycle when = 0;
-    std::uint64_t seq = 0;
-  };
-  [[nodiscard]] Key next_key() const;
 
   [[nodiscard]] Cycle now() const { return now_; }
   [[nodiscard]] bool empty() const { return pending_ == 0; }
@@ -109,11 +66,8 @@ class EventQueue {
   /// Total events scheduled over the queue's lifetime.
   [[nodiscard]] std::uint64_t scheduled() const { return seq_; }
 
-  /// Of those, events that took the typed fast path.
-  [[nodiscard]] std::uint64_t typed_scheduled() const { return typed_; }
-
   /// High-water mark of pending(). Plain members, not atomics: the DES is
-  /// single-threaded per instance and schedule() is the hot path.
+  /// single-threaded per instance and schedule_typed() is the hot path.
   [[nodiscard]] std::size_t max_pending() const { return max_pending_; }
 
   /// Cycle of the earliest pending event; only valid when !empty().
@@ -133,23 +87,17 @@ class EventQueue {
   struct Entry {
     Cycle when = 0;
     std::uint64_t seq = 0;
-    TypedFn typed = nullptr;
+    TypedFn fn = nullptr;
     void* ctx = nullptr;
     void* target = nullptr;
     Message msg{};
-    Callback fn;
 
-    void fire() {
-      if (typed != nullptr) {
-        typed(ctx, target, msg);
-      } else {
-        fn();
-      }
-    }
     bool operator>(const Entry& o) const {
       return when != o.when ? when > o.when : seq > o.seq;
     }
   };
+  static_assert(std::is_trivially_copyable_v<Entry>,
+                "entries must move as plain bytes");
 
   /// One cycle's events, consumed front-to-back through `next` so pops
   /// never shift the vector; storage is recycled once the bucket drains.
@@ -160,18 +108,15 @@ class EventQueue {
 
   static constexpr std::size_t kBitmapWords = kNearHorizon / 64;
 
-  void push(Entry&& e);
   /// Earliest ring cycle; only valid when ring_count_ > 0.
   [[nodiscard]] Cycle next_ring_time() const;
 
-  Impl impl_;
-  std::vector<Bucket> ring_;  ///< kNearHorizon buckets (calendar mode only)
+  std::vector<Bucket> ring_;  ///< kNearHorizon buckets
   std::array<std::uint64_t, kBitmapWords> bitmap_{};  ///< non-empty buckets
   std::size_t ring_count_ = 0;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
   Cycle now_ = 0;
   std::uint64_t seq_ = 0;
-  std::uint64_t typed_ = 0;
   std::size_t pending_ = 0;
   std::size_t max_pending_ = 0;
 };

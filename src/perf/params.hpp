@@ -13,21 +13,6 @@ namespace aqua {
 /// Simulated clock cycle count.
 using Cycle = std::uint64_t;
 
-/// Conservative-PDES partitioning granularity (perf/pdes.hpp).
-enum class PdesMode : std::uint8_t {
-  kOff,       ///< single global event queue (legacy path)
-  kChip,      ///< one logical process per stacked chip
-  kQuadrant,  ///< one logical process per mesh quadrant per chip
-};
-
-/// How the PDES partition queues are executed within a lookahead window
-/// (perf/pdes.hpp). Only meaningful when `pdes != kOff`.
-enum class PdesExec : std::uint8_t {
-  kSerial,   ///< deterministic stamped merge, byte-identical to kOff
-  kThreads,  ///< partitions run as task-engine tasks; queue-invariant but
-             ///< not bit-identical (bounded cycle drift, like idle-skip)
-};
-
 /// Table 1 parameters.
 struct CmpConfig {
   // Topology.
@@ -63,35 +48,6 @@ struct CmpConfig {
   std::size_t num_vcs = 3;
   std::size_t control_packet_flits = 1;
   std::size_t data_packet_flits = 5;
-
-  // DES scheduling. Off (default): one NoC pump event per active-network
-  // cycle — the legacy event stream, so results are bit-identical to the
-  // original per-cycle design (the mesh tick itself is still lazy). On:
-  // the NoC deregisters between work cycles and the event queue
-  // fast-forwards over quiet spans; fewer events, but pump events then
-  // occupy different sequence positions, which legally reorders same-cycle
-  // handlers and can shift cycle counts by a fraction of a percent.
-  // The AQUA_NOC_IDLE_SKIP=1 environment variable also enables it.
-  bool noc_idle_skip = false;
-
-  // Conservative PDES partitioning (DESIGN.md §12). kOff runs the single
-  // global event queue (legacy path, byte-for-byte). kChip gives every
-  // chip its own calendar queue; kQuadrant splits each chip's mesh into
-  // four quadrants for finer partitions. Both modes are table-identical
-  // to kOff by construction: the scheduler replays the serial global
-  // (cycle, stamp) order across the partition queues. The AQUA_DES_PDES
-  // environment variable (off|chip|quadrant) sets the default.
-  PdesMode pdes = PdesMode::kOff;
-
-  // PDES window execution (DESIGN.md §12). kSerial replays the exact
-  // global (cycle, stamp) order single-threaded. kThreads runs the
-  // partitions of each lookahead window concurrently on the §10 task
-  // engine with a window barrier and canonical-order channel flush:
-  // deterministic for a fixed seed, but relaxed-order (bounded cycle
-  // drift vs kSerial, gated statistically rather than byte-for-byte).
-  // The AQUA_DES_PDES_EXEC environment variable (serial|threads) sets
-  // the default.
-  PdesExec pdes_exec = PdesExec::kSerial;
 
   [[nodiscard]] std::size_t tiles_per_chip() const { return mesh_x * mesh_y; }
   [[nodiscard]] std::size_t total_tiles() const {

@@ -5,28 +5,14 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <numeric>
 #include <string>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
-#include "sweep/task_engine.hpp"
 
 namespace aqua {
-
-namespace {
-
-bool env_noc_idle_skip() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("AQUA_NOC_IDLE_SKIP");
-    return env != nullptr && env[0] == '1';
-  }();
-  return enabled;
-}
-
-}  // namespace
 
 void CmpSystem::init_topology() {
   require(config_.total_cores() <= 64,
@@ -85,14 +71,6 @@ void CmpSystem::init_topology() {
                              g % config_.l2_banks_per_chip);
   }
 
-  noc_idle_skip_ = config_.noc_idle_skip || env_noc_idle_skip();
-  // Effective PDES mode: the config field wins, else the environment.
-  // Deliberately re-read per system (no static cache): tests and sweeps
-  // toggle AQUA_DES_PDES between cells in one process.
-  pdes_mode_ =
-      config_.pdes != PdesMode::kOff ? config_.pdes : pdes_mode_from_env();
-  pdes_exec_ = config_.pdes_exec != PdesExec::kSerial ? config_.pdes_exec
-                                                      : pdes_exec_from_env();
   barrier_participants_ = cores_.size();
 }
 
@@ -146,31 +124,6 @@ CmpSystem::Core& CmpSystem::core_at(NodeId tile) {
   return cores_[core_index_of(tile)];
 }
 
-ExecStats& CmpSystem::run_stats() {
-  if (!threaded_exec_) return stats_;
-  const std::uint32_t p = events_.parallel_partition();
-  return p == DesScheduler::kFabric ? stats_ : lanes_[p].stats;
-}
-
-ObjectPool<CmpSystem::PendingNode>& CmpSystem::pool_for(const Bank& bank) {
-  if (!threaded_exec_) return pending_pool_;
-  return partition_pools_[partition_of(bank.tile)];
-}
-
-void CmpSystem::note_core_done(Cycle at) {
-  if (threaded_exec_) {
-    const std::uint32_t p = events_.parallel_partition();
-    if (p != DesScheduler::kFabric) {
-      ExecLane& lane = lanes_[p];
-      ++lane.finished;
-      lane.completion = std::max(lane.completion, at);
-      return;
-    }
-  }
-  ++finished_cores_;
-  completion_cycle_ = std::max(completion_cycle_, at);
-}
-
 // ---------------------------------------------------------------------------
 // Typed event thunks. The event queue calls these through a bare function
 // pointer with the scheduling-time context — no closure, no allocation.
@@ -208,7 +161,7 @@ void CmpSystem::dram_fill_event(void* ctx, void* target, const Message& msg) {
                (!it->second.busy &&
                 it->second.state == DirState::kUncached);
       });
-  if (!inserted) ++self->run_stats().l2_overflow_inserts;
+  if (!inserted) ++self->stats_.l2_overflow_inserts;
   if (evicted) {
     const auto it = bank.directory.find(evicted->line);
     if (it != bank.directory.end()) it->second.l2_valid = false;
@@ -222,7 +175,7 @@ void CmpSystem::pending_event(void* ctx, void* target, const Message& msg) {
   auto& bank = *static_cast<Bank*>(target);
   DirEntry& entry = bank.directory[msg.line];
   if (entry.busy) {
-    self->queue_pending_front(bank, entry, msg);
+    self->queue_pending_front(entry, msg);
     return;
   }
   self->process_request(bank, msg);
@@ -237,22 +190,8 @@ void CmpSystem::pump_event(void* ctx, void*, const Message&) {
   auto* self = static_cast<CmpSystem*>(ctx);
   const Cycle now = self->events_.now();
 
-  // The threaded PDES executor shares the idle-skip pump discipline: one
-  // live pump event parked at pump_at_, only ever moved earlier. Pumps run
-  // exclusively on the coordinator thread (fabric windows), so the mesh is
-  // single-threaded even in threads mode.
-  if (self->noc_idle_skip_ || self->threaded_exec_) {
-    // Stale pump: the live pump moved to an earlier cycle after this event
-    // was enqueued (or the network drained under it). Ignore.
-    if (!self->noc_pumping_ || now != self->pump_at_) return;
-    self->noc_pumping_ = false;
-    const Cycle next = self->noc_->tick(now);
-    if (next != Mesh3d::kIdle) self->schedule_pump(next);
-    return;
-  }
-
-  // Exact mode: one pump event per active-network cycle, exactly like the
-  // original per-cycle pump chain — scheduling the successor here keeps
+  // One pump event per active-network cycle, exactly like the original
+  // per-cycle pump chain — scheduling the successor here keeps
   // every event's sequence number (and so all same-cycle handler
   // interleaving) identical to that design. Only the mesh tick is lazy:
   // below the gate nothing can move, so the tick reduces to advancing the
@@ -264,8 +203,7 @@ void CmpSystem::pump_event(void* ctx, void*, const Message&) {
     self->noc_->skip_cycle(now);
   }
   if (self->noc_->active()) {
-    self->events_.schedule_typed_in(1, DesScheduler::kFabric,
-                                    &CmpSystem::pump_event, self, self,
+    self->events_.schedule_typed_in(1, &CmpSystem::pump_event, self, self,
                                     Message{});
   } else {
     self->noc_pumping_ = false;
@@ -289,49 +227,18 @@ void CmpSystem::send(MsgType type, LineAddr line, NodeId from, NodeId to,
                                           : config_.control_packet_flits);
   p.msg = Message{type, line, from, requestor, source, dirty, acks};
 
-  if (threaded_exec_) {
-    // Inside a partition window-task the mesh belongs to the coordinator:
-    // bank the injection in this partition's lane; merge_round() applies
-    // the lanes in canonical order at the round boundary.
-    const std::uint32_t part = events_.parallel_partition();
-    if (part != DesScheduler::kFabric) {
-      lanes_[part].sends.emplace_back(events_.now(), p);
-      return;
-    }
-  }
-
   const Cycle hint = noc_->inject(events_.now(), p);
 
-  if (noc_idle_skip_ || threaded_exec_) {
-    if (hint != Mesh3d::kIdle) schedule_pump(hint);
-    return;
-  }
-
-  // Exact mode: fresh flits may need an earlier tick than the standing
-  // gate; arming matches the original per-cycle pump (same condition, same
-  // scheduling point, hence the same event sequence).
+  // Fresh flits may need an earlier tick than the standing gate; arming
+  // matches the original per-cycle pump (same condition, same scheduling
+  // point, hence the same event sequence).
   if (hint != Mesh3d::kIdle && hint < noc_gate_) noc_gate_ = hint;
   if (!noc_pumping_ && noc_->active()) {
     noc_pumping_ = true;
     noc_gate_ = 0;  // the first tick of a busy spell always runs
-    events_.schedule_typed_in(1, DesScheduler::kFabric,
-                              &CmpSystem::pump_event, this, this,
+    events_.schedule_typed_in(1, &CmpSystem::pump_event, this, this,
                               Message{});
   }
-}
-
-void CmpSystem::schedule_pump(Cycle when) {
-  // Threaded exec: banked injections can carry cycles the fabric clock has
-  // already passed; the pump must land strictly after the last tick (the
-  // mesh clock is monotonic). The late tick is part of the bounded drift.
-  if (threaded_exec_) when = std::max(when, events_.now() + 1);
-  // One live pump at a time; only ever move it earlier. A superseded event
-  // stays in the queue and is discarded by the staleness check.
-  if (noc_pumping_ && pump_at_ <= when) return;
-  noc_pumping_ = true;
-  pump_at_ = when;
-  events_.schedule_typed(when, DesScheduler::kFabric,
-                         &CmpSystem::pump_event, this, this, Message{});
 }
 
 void CmpSystem::deliver(const Packet& packet) {
@@ -339,13 +246,11 @@ void CmpSystem::deliver(const Packet& packet) {
   if (bank_it != bank_of_tile_.end()) {
     // Home handling begins after the bank's tag/directory access.
     Bank& bank = banks_[bank_it->second];
-    events_.schedule_typed_in(config_.l2_latency, partition_of(bank.tile),
-                              &CmpSystem::home_event, this, &bank,
-                              packet.msg);
+    events_.schedule_typed_in(config_.l2_latency, &CmpSystem::home_event,
+                              this, &bank, packet.msg);
   } else {
-    events_.schedule_typed_in(config_.l1_latency, partition_of(packet.dst),
-                              &CmpSystem::core_event, this,
-                              &core_at(packet.dst), packet.msg);
+    events_.schedule_typed_in(config_.l1_latency, &CmpSystem::core_event,
+                              this, &core_at(packet.dst), packet.msg);
   }
 }
 
@@ -367,7 +272,8 @@ void CmpSystem::advance_core(Core& core) {
   switch (op.kind) {
     case TraceOp::Kind::kDone:
       core.finished = true;
-      note_core_done(events_.now());
+      ++finished_cores_;
+      completion_cycle_ = std::max(completion_cycle_, events_.now());
       return;
     case TraceOp::Kind::kBarrier:
       arrive_barrier(core);
@@ -377,7 +283,6 @@ void CmpSystem::advance_core(Core& core) {
       m.line = op.line;
       m.dirty = op.is_store;  // decoded by access_event
       events_.schedule_typed_in(op.compute_cycles + config_.l1_latency,
-                                partition_of(core.tile),
                                 &CmpSystem::access_event, this, &core, m);
       return;
     }
@@ -385,27 +290,27 @@ void CmpSystem::advance_core(Core& core) {
 }
 
 void CmpSystem::execute_access(Core& core, bool is_store, LineAddr line) {
-  ++run_stats().mem_ops;
+  ++stats_.mem_ops;
   L1Line* l = core.l1->find(line);
   if (l != nullptr) {
     if (!is_store || l->state == L1State::kM) {
-      ++run_stats().l1_hits;
+      ++stats_.l1_hits;
       advance_core(core);
       return;
     }
     if (l->state == L1State::kE) {
       // MOESI silent upgrade: E -> M without a message.
       l->state = L1State::kM;
-      ++run_stats().l1_hits;
+      ++stats_.l1_hits;
       advance_core(core);
       return;
     }
     // Store to S or O: upgrade miss (data already held).
-    ++run_stats().l1_misses;
+    ++stats_.l1_misses;
     start_miss(core, line, /*is_store=*/true, /*had_s=*/true);
     return;
   }
-  ++run_stats().l1_misses;
+  ++stats_.l1_misses;
   start_miss(core, line, is_store, /*had_s=*/false);
 }
 
@@ -435,16 +340,16 @@ void CmpSystem::maybe_complete_miss(Core& core) {
   const Cycle stall = events_.now() - core.miss_start;
   switch (core.miss_source) {
     case DataSource::kL2:
-      run_stats().stall_l2_cycles += stall;
+      stats_.stall_l2_cycles += stall;
       break;
     case DataSource::kDram:
-      run_stats().stall_dram_cycles += stall;
+      stats_.stall_dram_cycles += stall;
       break;
     case DataSource::kForward:
-      run_stats().stall_forward_cycles += stall;
+      stats_.stall_forward_cycles += stall;
       break;
     case DataSource::kNone:
-      run_stats().stall_upgrade_cycles += stall;  // ack-only upgrade
+      stats_.stall_upgrade_cycles += stall;  // ack-only upgrade
       break;
   }
   L1State new_state;
@@ -458,8 +363,7 @@ void CmpSystem::maybe_complete_miss(Core& core) {
   core.miss_active = false;
   send(MsgType::kUnblock, line, core.tile, home_tile_of(line),
        core.tile);
-  events_.schedule_typed_in(1, partition_of(core.tile),
-                            &CmpSystem::advance_event, this, &core,
+  events_.schedule_typed_in(1, &CmpSystem::advance_event, this, &core,
                             Message{});
 }
 
@@ -490,7 +394,7 @@ void CmpSystem::install_line(Core& core, LineAddr line, L1State state) {
       WbEntry& wb = core.writeback_buffer[victim];
       wb.dirty = dirty;
       ++wb.pending_acks;
-      ++run_stats().writebacks;
+      ++stats_.writebacks;
       send(MsgType::kPutM, victim, core.tile, home_tile_of(victim),
            core.tile, dirty);
       break;
@@ -550,7 +454,7 @@ void CmpSystem::handle_core_message(Core& core, const Message& msg) {
 
     case MsgType::kInv: {
       core.l1->erase(msg.line);
-      ++run_stats().invalidations;
+      ++stats_.invalidations;
       // If this core is mid-upgrade on the same line, its S data just died:
       // the transaction must now wait for real data.
       if (core.miss_active && core.miss_line == msg.line && core.miss_had_s) {
@@ -609,16 +513,6 @@ void CmpSystem::handle_core_message(Core& core, const Message& msg) {
 void CmpSystem::arrive_barrier(Core& core) {
   core.at_barrier = true;
   core.barrier_arrive = events_.now();
-  if (threaded_exec_) {
-    const std::uint32_t p = events_.parallel_partition();
-    if (p != DesScheduler::kFabric) {
-      // Parallel context: barrier_ is shared, so only note the arrival in
-      // the lane; merge_round() counts it and releases once everyone is
-      // in, at the cycle of the last arrival (same instant as serial).
-      ++lanes_[p].barrier_arrivals;
-      return;
-    }
-  }
   ++barrier_.waiting;
   maybe_release_barrier();
 }
@@ -639,8 +533,7 @@ void CmpSystem::maybe_release_barrier() {
     if (!c.at_barrier) continue;
     c.at_barrier = false;
     stats_.barrier_wait_cycles += events_.now() - c.barrier_arrive;
-    events_.schedule_typed_in(1, partition_of(c.tile),
-                              &CmpSystem::advance_event, this, &c,
+    events_.schedule_typed_in(1, &CmpSystem::advance_event, this, &c,
                               Message{});
   }
 }
@@ -657,17 +550,6 @@ void CmpSystem::inject_faults(const PerfFaultPlan& plan) {
   if (plan.empty()) return;
   faults_injected_ = true;
   stats_.degraded = true;
-
-  if (pdes_mode_ != PdesMode::kOff) {
-    // Policy (DESIGN.md §12): a faulted run always takes the serial path.
-    // Fault handling rewires topology mid-run (dead cores, rerouted NoC),
-    // which invalidates the static partition map the lookahead argument
-    // rests on; forcing `off` keeps faulted results exactly on the
-    // long-verified serial event stream. Tested by the invariance suite.
-    pdes_mode_ = PdesMode::kOff;
-    stats_.pdes.forced_off = true;
-    obs::Registry::instance().counter("des.pdes.forced_off").add(1);
-  }
 
   // Dead-at-start set (validates router kills and drives the re-rank).
   std::vector<std::uint8_t> dead(cores_.size(), 0);
@@ -718,9 +600,8 @@ void CmpSystem::inject_faults(const PerfFaultPlan& plan) {
   for (const CoreFault& f : plan.core_faults) {
     if (f.at_cycle == 0) continue;
     require(dead[f.core] == 0, "core is already dead at start");
-    events_.schedule_typed(f.at_cycle, partition_of(cores_[f.core].tile),
-                           &CmpSystem::kill_event, this, &cores_[f.core],
-                           Message{});
+    events_.schedule_typed(f.at_cycle, &CmpSystem::kill_event, this,
+                           &cores_[f.core], Message{});
   }
 
   obs::RunReport& report = obs::RunReport::instance();
@@ -831,9 +712,8 @@ void CmpSystem::flush_l1(Core& core) {
 // Home / directory side
 // ---------------------------------------------------------------------------
 
-void CmpSystem::queue_pending_back(Bank& bank, DirEntry& e,
-                                   const Message& msg) {
-  PendingNode* node = pool_for(bank).create(PendingNode{msg, nullptr});
+void CmpSystem::queue_pending_back(DirEntry& e, const Message& msg) {
+  PendingNode* node = pending_pool_.create(PendingNode{msg, nullptr});
   if (e.pending_tail == nullptr) {
     e.pending_head = node;
   } else {
@@ -843,10 +723,8 @@ void CmpSystem::queue_pending_back(Bank& bank, DirEntry& e,
   ++e.pending_count;
 }
 
-void CmpSystem::queue_pending_front(Bank& bank, DirEntry& e,
-                                    const Message& msg) {
-  PendingNode* node =
-      pool_for(bank).create(PendingNode{msg, e.pending_head});
+void CmpSystem::queue_pending_front(DirEntry& e, const Message& msg) {
+  PendingNode* node = pending_pool_.create(PendingNode{msg, e.pending_head});
   e.pending_head = node;
   if (e.pending_tail == nullptr) e.pending_tail = node;
   ++e.pending_count;
@@ -862,7 +740,7 @@ void CmpSystem::handle_home_message(Bank& bank, const Message& msg) {
       // Queue behind any earlier waiters even when the line is idle (a
       // pop from the pending queue may be in flight): FIFO per line.
       if (e.busy || e.pending_head != nullptr) {
-        queue_pending_back(bank, e, msg);
+        queue_pending_back(e, msg);
         pump_pending(bank, msg.line);
         return;
       }
@@ -930,7 +808,7 @@ void CmpSystem::process_request(Bank& bank, const Message& msg) {
                      (!it->second.busy &&
                       it->second.state == DirState::kUncached);
             });
-        if (!inserted) ++run_stats().l2_overflow_inserts;
+        if (!inserted) ++stats_.l2_overflow_inserts;
         if (evicted) {
           const auto it = bank.directory.find(evicted->line);
           if (it != bank.directory.end()) it->second.l2_valid = false;
@@ -965,7 +843,7 @@ void CmpSystem::process_request(Bank& bank, const Message& msg) {
         case DirState::kModified:
         case DirState::kOwned: {
           ensure(e.owner != r, "owner re-requested its own line (GetS)");
-          ++run_stats().coherence_forwards;
+          ++stats_.coherence_forwards;
           e.awaiting_downgrade = true;
           send(MsgType::kFwdGetS, line, bank.tile, core_tile_of(e.owner),
                msg.requestor);
@@ -1011,7 +889,7 @@ void CmpSystem::process_request(Bank& bank, const Message& msg) {
         case DirState::kExclusive:
         case DirState::kModified: {
           ensure(e.owner != r, "owner re-requested its own line (GetM)");
-          ++run_stats().coherence_forwards;
+          ++stats_.coherence_forwards;
           send(MsgType::kFwdGetM, line, bank.tile, core_tile_of(e.owner),
                msg.requestor);
           send(MsgType::kAckCount, line, bank.tile, msg.requestor,
@@ -1037,7 +915,7 @@ void CmpSystem::process_request(Bank& bank, const Message& msg) {
             send(MsgType::kAckCount, line, bank.tile, msg.requestor,
                  msg.requestor, false, n);
           } else {
-            ++run_stats().coherence_forwards;
+            ++stats_.coherence_forwards;
             send(MsgType::kFwdGetM, line, bank.tile, core_tile_of(e.owner),
                  msg.requestor);
             send(MsgType::kAckCount, line, bank.tile, msg.requestor,
@@ -1076,14 +954,14 @@ void CmpSystem::pump_pending(Bank& bank, LineAddr line) {
   if (e.pending_head == nullptr) e.pending_tail = nullptr;
   --e.pending_count;
   const Message next = node->msg;
-  pool_for(bank).destroy(node);
+  pending_pool_.destroy(node);
   // Re-dispatch after one cycle to bound recursion and model queue pop.
   // Draining must continue past non-transactional requests (Put*): they
   // leave the line un-busy, and anything still queued behind them would
   // otherwise be orphaned — a deadlock. pending_event re-queues at the
   // front if the line went busy again in the meantime.
-  events_.schedule_typed_in(1, partition_of(bank.tile),
-                            &CmpSystem::pending_event, this, &bank, next);
+  events_.schedule_typed_in(1, &CmpSystem::pending_event, this, &bank,
+                            next);
 }
 
 void CmpSystem::respond_with_data(Bank& bank, LineAddr line, NodeId requestor,
@@ -1113,40 +991,23 @@ void CmpSystem::finish_fill(Bank& bank, const Message& request,
 void CmpSystem::fetch_line(Bank& bank, const Message& request) {
   const LineAddr line = request.line;
   if (bank.l2->find(line) != nullptr) {
-    ++run_stats().l2_data_hits;
+    ++stats_.l2_data_hits;
     bank.directory[line].l2_valid = true;
     finish_fill(bank, request, DataSource::kL2);
     return;
   }
-  ++run_stats().l2_data_misses;
-  ++run_stats().dram_accesses;
-
-  if (threaded_exec_) {
-    const std::uint32_t p = events_.parallel_partition();
-    if (p != DesScheduler::kFabric) {
-      // The memory controller is shared across a chip's partitions
-      // (quadrant mode): bank the request; merge_round() arbitrates
-      // next_free in canonical lane order.
-      lanes_[p].dram.push_back(ExecLane::DramReq{&bank, request,
-                                                 events_.now()});
-      return;
-    }
-  }
+  ++stats_.l2_data_misses;
+  ++stats_.dram_accesses;
 
   MemoryController& mc = memory_[bank.chip];
   const Cycle start = std::max(events_.now(), mc.next_free);
   mc.next_free = start + dram_service_cycles_;
   events_.schedule_typed(start + dram_latency_cycles_,
-                         partition_of(bank.tile),
                          &CmpSystem::dram_fill_event, this, &bank, request);
 }
 
 // ---------------------------------------------------------------------------
-// Threaded PDES window executor (DESIGN.md §12). The coordinator (the
-// thread that called run()) owns the mesh, the memory controllers, the
-// barrier and the run-wide stats; partition window-tasks own their cores,
-// banks, pools and lanes. The only cross-thread structure is the task
-// engine's subtask group.
+// Run loop
 // ---------------------------------------------------------------------------
 
 void CmpSystem::report_deadlock() {
@@ -1181,183 +1042,6 @@ void CmpSystem::report_deadlock() {
   std::abort();  // unreachable: ensure(false) throws
 }
 
-void CmpSystem::run_threaded() {
-  sweep::TaskEngine& engine = sweep::TaskEngine::shared();
-  const Cycle lookahead = events_.lookahead();
-  const std::size_t parts = events_.partitions();
-  std::vector<sweep::TaskEngine::Task> tasks;
-  std::vector<std::uint32_t> ready;
-
-  while (finished_cores_ < cores_.size()) {
-    if (events_.empty()) report_deadlock();
-    const Cycle begin = events_.global_next();
-    const Cycle end = (begin / lookahead + 1) * lookahead;
-    std::uint64_t rounds = 0;
-    std::uint64_t dispatched = 0;
-    std::uint64_t max_concurrency = 0;
-
-    // Rounds within the window: partitions fire everything before `end`
-    // (concurrently when more than one is ready), the coordinator merges
-    // their banked side effects, and the fabric pumps the mesh forward.
-    // Fabric deliveries and merged flushes can re-arm partitions inside
-    // the same window, hence the loop.
-    for (;;) {
-      ready.clear();
-      for (std::uint32_t p = 0; p < parts; ++p) {
-        if (events_.partition_has_work_before(p, end)) ready.push_back(p);
-      }
-      if (!ready.empty()) {
-        ++rounds;
-        dispatched += ready.size();
-        max_concurrency =
-            std::max<std::uint64_t>(max_concurrency, ready.size());
-        if (ready.size() == 1) {
-          // A lone ready partition runs on the coordinator thread; the
-          // ExecTls scope inside keeps its banking identical to the task
-          // path, so results do not depend on who executed the window.
-          events_.run_partition_window(ready[0], end);
-        } else {
-          tasks.clear();
-          for (std::uint32_t p : ready) {
-            tasks.push_back(sweep::TaskEngine::Task{
-                [this, p, end](sweep::WorkerContext&) {
-                  events_.run_partition_window(p, end);
-                },
-                /*affinity=*/p, /*strict=*/false});
-          }
-          engine.run_subtasks(std::move(tasks));
-          tasks.clear();
-        }
-        merge_round();
-        continue;
-      }
-      // No partition work left before `end`: let the fabric pump ahead.
-      if (events_.run_fabric_window(end)) continue;
-      break;
-    }
-
-    // Window boundary: banked credit returns land in canonical link
-    // order. Freed slots may unblock a credit-starved mesh whose pump
-    // parked itself, so re-arm it for the next window.
-    noc_->flush_deferred_credits();
-    if (noc_->active()) schedule_pump(end);
-    events_.note_window(rounds, dispatched, max_concurrency);
-  }
-  merge_exec_lanes();
-}
-
-void CmpSystem::merge_round() {
-  events_.flush_outboxes();
-
-  std::vector<std::size_t> order(lanes_.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  const bool fuzz = flush_fuzz_seed_ != 0;
-  if (fuzz) {
-    // Fuzzer hook: permute the lane drain order, and within each lane the
-    // order of same-cycle injections (a window-task's sends are banked in
-    // non-decreasing cycle order, so equal-cycle runs are contiguous).
-    // Every mechanism below must be insensitive to both permutations.
-    std::shuffle(order.begin(), order.end(), fuzz_rng_);
-  }
-
-  // Banked NoC injections, canonical (partition, push) order.
-  Cycle hint = Mesh3d::kIdle;
-  for (const std::size_t li : order) {
-    ExecLane& lane = lanes_[li];
-    if (fuzz) {
-      auto it = lane.sends.begin();
-      while (it != lane.sends.end()) {
-        auto run_end = it;
-        while (run_end != lane.sends.end() && run_end->first == it->first) {
-          ++run_end;
-        }
-        std::shuffle(it, run_end, fuzz_rng_);
-        it = run_end;
-      }
-    }
-    for (const auto& [at, pkt] : lane.sends) {
-      const Cycle h = noc_->inject(at, pkt);
-      if (h != Mesh3d::kIdle) hint = std::min(hint, h);
-    }
-    lane.sends.clear();
-  }
-  if (hint != Mesh3d::kIdle) schedule_pump(hint);
-
-  // Banked DRAM requests: the per-chip controllers are shared across a
-  // chip's partitions (quadrant mode), so next_free arbitrates here.
-  for (const std::size_t li : order) {
-    ExecLane& lane = lanes_[li];
-    for (const ExecLane::DramReq& req : lane.dram) {
-      MemoryController& mc = memory_[req.bank->chip];
-      const Cycle start = std::max(req.at, mc.next_free);
-      mc.next_free = start + dram_service_cycles_;
-      events_.schedule_typed(start + dram_latency_cycles_,
-                             partition_of(req.bank->tile),
-                             &CmpSystem::dram_fill_event, this, req.bank,
-                             req.msg);
-    }
-    lane.dram.clear();
-  }
-
-  // Barrier arrivals and completions: plain counts, order-insensitive.
-  bool arrived = false;
-  for (ExecLane& lane : lanes_) {
-    arrived |= lane.barrier_arrivals != 0;
-    barrier_.waiting += lane.barrier_arrivals;
-    lane.barrier_arrivals = 0;
-    finished_cores_ += lane.finished;
-    lane.finished = 0;
-    completion_cycle_ = std::max(completion_cycle_, lane.completion);
-  }
-  if (arrived && barrier_.waiting >= barrier_participants_) {
-    release_barrier_threaded();
-  }
-}
-
-void CmpSystem::release_barrier_threaded() {
-  // Release at the cycle of the last arrival — the same instant the
-  // serial run releases at — regardless of which round the arrivals were
-  // merged in.
-  Cycle release = 0;
-  for (const Core& c : cores_) {
-    if (c.at_barrier) release = std::max(release, c.barrier_arrive);
-  }
-  ++stats_.barriers;
-  ++barrier_.generation;
-  barrier_.waiting = 0;
-  for (Core& c : cores_) {
-    if (!c.at_barrier) continue;
-    c.at_barrier = false;
-    stats_.barrier_wait_cycles += release - c.barrier_arrive;
-    events_.schedule_typed(release + 1, partition_of(c.tile),
-                           &CmpSystem::advance_event, this, &c, Message{});
-  }
-}
-
-void CmpSystem::merge_exec_lanes() {
-  for (const ExecLane& lane : lanes_) {
-    const ExecStats& s = lane.stats;
-    stats_.mem_ops += s.mem_ops;
-    stats_.l1_hits += s.l1_hits;
-    stats_.l1_misses += s.l1_misses;
-    stats_.l2_data_hits += s.l2_data_hits;
-    stats_.l2_data_misses += s.l2_data_misses;
-    stats_.dram_accesses += s.dram_accesses;
-    stats_.coherence_forwards += s.coherence_forwards;
-    stats_.invalidations += s.invalidations;
-    stats_.writebacks += s.writebacks;
-    stats_.barriers += s.barriers;
-    stats_.l2_overflow_inserts += s.l2_overflow_inserts;
-    stats_.stall_l2_cycles += s.stall_l2_cycles;
-    stats_.stall_dram_cycles += s.stall_dram_cycles;
-    stats_.stall_forward_cycles += s.stall_forward_cycles;
-    stats_.stall_upgrade_cycles += s.stall_upgrade_cycles;
-    stats_.barrier_wait_cycles += s.barrier_wait_cycles;
-  }
-}
-
-// ---------------------------------------------------------------------------
-
 ExecStats CmpSystem::run() {
   require(!ran_, "CmpSystem::run may only be called once");
   ran_ = true;
@@ -1365,50 +1049,14 @@ ExecStats CmpSystem::run() {
                        static_cast<std::int64_t>(config_.chips));
   const auto run_start = std::chrono::steady_clock::now();
 
-  if (pdes_mode_ != PdesMode::kOff) {
-    PdesTopology topo = PdesTopology::build(config_, pdes_mode_);
-    partition_of_tile_ = std::move(topo.partition_of_tile);
-    topo.partition_of_tile.clear();
-    events_.activate(topo, pdes_mode_);
-    // Threaded window executor: needs at least two model partitions to
-    // overlap (a single partition would only add banking overhead — it
-    // stays on the exact serial stamped merge). Faulted plans forced
-    // pdes_mode_ off above this point, so threads never coexist with
-    // fault handling (DESIGN.md §12).
-    if (pdes_exec_ == PdesExec::kThreads && topo.partitions >= 2) {
-      threaded_exec_ = true;
-      events_.set_threaded_exec();
-      lanes_ = std::vector<ExecLane>(topo.partitions);
-      for (std::size_t p = 0; p < topo.partitions; ++p) {
-        partition_pools_.emplace_back();
-      }
-      noc_->set_defer_credits(true);
-      if (flush_fuzz_seed_ != 0) fuzz_rng_ = Xoshiro256(flush_fuzz_seed_);
-    }
-  }
-
   for (Core& core : cores_) {
     if (core.finished) continue;  // dead at start (inject_faults)
-    events_.schedule_typed(0, partition_of(core.tile),
-                           &CmpSystem::advance_event, this, &core,
+    events_.schedule_typed(0, &CmpSystem::advance_event, this, &core,
                            Message{});
   }
-
-  if (threaded_exec_) {
-    events_.mark_boot_done();
-    run_threaded();
-  } else {
-    while (finished_cores_ < cores_.size()) {
-      if (events_.empty()) report_deadlock();
-      events_.step();
-    }
-  }
-
-  events_.finalize();
-  {
-    const bool forced = stats_.pdes.forced_off;
-    stats_.pdes = events_.stats();
-    stats_.pdes.forced_off = forced;
+  while (finished_cores_ < cores_.size()) {
+    if (events_.empty()) report_deadlock();
+    events_.step();
   }
 
   stats_.cycles = completion_cycle_;
@@ -1439,8 +1087,6 @@ ExecStats CmpSystem::run() {
         obs::Registry::instance().counter("perf.instructions");
     static obs::Counter& events =
         obs::Registry::instance().counter("perf.events");
-    static obs::Counter& events_typed =
-        obs::Registry::instance().counter("perf.events_typed");
     static obs::Counter& events_skipped =
         obs::Registry::instance().counter("perf.events_skipped");
     static obs::Counter& noc_packets =
@@ -1452,9 +1098,8 @@ ExecStats CmpSystem::run() {
     runs.add(1);
     instructions.add(stats_.instructions);
     events.add(events_.scheduled());
-    events_typed.add(events_.typed_scheduled());
-    // NoC cycles the idle-skip fast-forwarded over (old design: one tick
-    // event per active-network cycle).
+    // Active-network cycles whose mesh tick the pump skipped (nothing could
+    // move; only the arbitration clock advanced).
     events_skipped.add(stats_.noc.cycles_skipped);
     noc_packets.add(stats_.noc.packets_delivered);
     noc_ticks.add(stats_.noc.ticks);
@@ -1489,36 +1134,8 @@ ExecStats CmpSystem::run() {
           .add("noc_ticks", stats_.noc.ticks)
           .add("noc_cycles_skipped", stats_.noc.cycles_skipped)
           .add("events_scheduled", events_.scheduled())
-          .add("events_typed", events_.typed_scheduled())
           .add("events_max_pending",
                static_cast<std::uint64_t>(events_.max_pending()))
-          .add("queue_impl", events_.impl() == EventQueue::Impl::kCalendar
-                                 ? "calendar"
-                                 : "heap")
-          .add("pdes_mode", to_string(stats_.pdes.mode))
-          .add("pdes_partitions", stats_.pdes.partitions)
-          .add("pdes_lookahead", stats_.pdes.lookahead)
-          .add("pdes_windows", stats_.pdes.windows)
-          .add("pdes_cross_messages", stats_.pdes.cross_messages)
-          .add("pdes_barrier_stalls", stats_.pdes.barrier_stalls)
-          .add("pdes_forced_off", stats_.pdes.forced_off)
-          .add("pdes_exec", to_string(stats_.pdes.exec))
-          .add("pdes_exec_windows", stats_.pdes.exec_windows)
-          .add("pdes_exec_rounds", stats_.pdes.exec_rounds)
-          .add("pdes_exec_tasks", stats_.pdes.exec_tasks)
-          .add("pdes_exec_clamped", stats_.pdes.exec_clamped)
-          .add("pdes_exec_max_concurrency",
-               stats_.pdes.exec_max_concurrency)
-          .add("noc_latency_hist",
-               [&] {
-                 std::string hist;
-                 for (std::size_t b = 0; b < NocStats::kLatencyBuckets;
-                      ++b) {
-                   if (b != 0) hist += ',';
-                   hist += std::to_string(stats_.noc.latency_hist[b]);
-                 }
-                 return hist;
-               }())
           .add("cycles_per_second",
                wall_seconds > 0.0 ? cycles / wall_seconds : 0.0)
           .add("seconds", wall_seconds);

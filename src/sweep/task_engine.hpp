@@ -150,19 +150,6 @@ class TaskEngine {
   /// from several non-worker threads serialize.
   void run(std::vector<Task> tasks);
 
-  /// Window-scoped subtask barrier (DESIGN.md §12): executes `tasks` and
-  /// blocks until all of them finish, without waiting for — or starting —
-  /// any other batch work. Called from inside an engine worker (the PDES
-  /// threaded executor running as a sweep cell), the subtasks form a group
-  /// on the current batch: the caller drains the group itself and idle
-  /// workers of the same batch join in, so partition windows overlap even
-  /// while other cells are still running. Called from a non-worker thread,
-  /// it runs the group as an ordinary batch when the engine is idle and
-  /// falls back to inline serial execution when a batch is already active
-  /// (never blocks behind an unrelated sweep). Group tasks must not spawn
-  /// LIFO work and their exceptions rethrow here, not from run().
-  void run_subtasks(std::vector<Task> tasks);
-
   /// Counters of the most recent completed run().
   struct Stats {
     std::uint64_t executed = 0;        ///< tasks run (== batch size)
@@ -172,7 +159,6 @@ class TaskEngine {
     std::uint64_t lifo_spawned = 0;    ///< tasks run from the LIFO slot
     std::uint64_t local_hits = 0;      ///< WorkerContext::local reuses
     std::uint64_t local_misses = 0;    ///< WorkerContext::local builds
-    std::uint64_t subtasks = 0;        ///< group subtasks run (run_subtasks)
     std::vector<std::uint64_t> per_worker;  ///< tasks executed per worker
   };
   [[nodiscard]] Stats last_run_stats() const;
@@ -184,7 +170,6 @@ class TaskEngine {
  private:
   friend class WorkerContext;
   struct Batch;
-  struct SubtaskGroup;
 
   void start_workers(std::size_t n);
   void stop_workers();
@@ -199,8 +184,6 @@ class TaskEngine {
   void run_inline(std::vector<Task>& tasks);
   /// The body of run() once run_mutex_ is held.
   void run_locked(std::vector<Task>& tasks);
-  /// Claims and executes tasks of `group` until none are left unclaimed.
-  void process_group(Batch& batch, SubtaskGroup& group, WorkerContext& ctx);
 
   std::vector<std::thread> workers_;
   std::size_t worker_count_ = 0;

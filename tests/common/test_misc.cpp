@@ -1,15 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <sstream>
-#include <thread>
 
 #include "common/curve.hpp"
 #include "common/error.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
-#include "obs/metrics.hpp"
 
 namespace aqua {
 namespace {
@@ -96,99 +91,6 @@ TEST(Table, AddBeforeRowThrows) {
 TEST(Table, FormatDouble) {
   EXPECT_EQ(format_double(3.14159, 2), "3.14");
   EXPECT_EQ(format_double(-1.0, 0), "-1");
-}
-
-// ---------------------------------------------------------- thread pool ----
-
-TEST(ThreadPool, ExecutesAllIterations) {
-  std::atomic<int> count{0};
-  parallel_for(1000, [&](std::size_t) { ++count; });
-  EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(ThreadPool, EachIndexExactlyOnce) {
-  std::vector<std::atomic<int>> hits(257);
-  ThreadPool pool(4);
-  parallel_for(pool, hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, PropagatesException) {
-  ThreadPool pool(2);
-  EXPECT_THROW(parallel_for(pool, 10,
-                            [](std::size_t i) {
-                              if (i == 5) throw Error("boom");
-                            }),
-               Error);
-}
-
-TEST(ThreadPool, PropagatesFirstExceptionAndKeepsRunning) {
-  // The contract: every iteration still runs (no early abandon), exactly
-  // one of the thrown errors is rethrown, and the pool survives for the
-  // next parallel_for.
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  try {
-    parallel_for(pool, 64, [&](std::size_t i) {
-      ++ran;
-      if (i % 8 == 0) throw Error("boom " + std::to_string(i));
-    });
-    FAIL() << "expected an Error";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("boom"), std::string::npos);
-  }
-  EXPECT_EQ(ran.load(), 64);
-  std::atomic<int> after{0};
-  parallel_for(pool, 16, [&](std::size_t) { ++after; });
-  EXPECT_EQ(after.load(), 16);
-}
-
-TEST(ThreadPool, CountsTaskExceptionsInMetrics) {
-  auto& counter = obs::Registry::instance().counter("pool.task_exceptions");
-  const std::uint64_t before = counter.value();
-  ThreadPool pool(2);
-  EXPECT_THROW(parallel_for(pool, 8,
-                            [](std::size_t i) {
-                              if (i % 2 == 0) throw Error("fault");
-                            }),
-               Error);
-  // All four throwing iterations are counted, not just the rethrown one.
-  EXPECT_EQ(counter.value() - before, 4u);
-}
-
-TEST(ThreadPool, SubmitReturnsValue) {
-  ThreadPool pool(2);
-  auto f = pool.submit([] { return 7 * 6; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, ZeroIterationsIsNoop) {
-  ThreadPool pool(2);
-  parallel_for(pool, 0, [](std::size_t) { FAIL(); });
-}
-
-TEST(ThreadPool, SharedPoolIsProcessWide) {
-  EXPECT_EQ(&shared_pool(), &shared_pool());
-  std::atomic<int> count{0};
-  parallel_for(shared_pool(), 64, [&](std::size_t) { ++count; });
-  EXPECT_EQ(count.load(), 64);
-}
-
-TEST(ThreadPool, ShutdownDrainsPendingTasks) {
-  // Destroying a pool with queued work must run every task and join
-  // cleanly — a lost wake-up here deadlocks the destructor.
-  std::atomic<int> done{0};
-  constexpr int kTasks = 200;
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < kTasks; ++i) {
-      (void)pool.submit([&done] {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-        ++done;
-      });
-    }
-  }  // ~ThreadPool: tasks are still pending when shutdown begins
-  EXPECT_EQ(done.load(), kTasks);
 }
 
 // ---------------------------------------------------------------- error ----

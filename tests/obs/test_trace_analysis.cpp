@@ -115,41 +115,6 @@ TEST(CriticalPathTest, StrictChainsGroupByAffinityNotWorker) {
   EXPECT_DOUBLE_EQ(c.max_speedup(), 220.0 / 150.0);
 }
 
-TEST(CriticalPathTest, PdesMarkersSplitStrictChainsByPartition) {
-  std::vector<ParsedTraceEvent> events;
-  // Chain 1: two strict cells of 100us and 60us on worker 0. The first
-  // cell ran PDES over three lanes with event counts 50/30/20 (busiest
-  // share 0.5); the second carries no markers (whole-cell atomic).
-  events.push_back(task(FlightRecorder::kTaskStrict, 0, 1, 0.0, 100.0));
-  events.push_back(task(FlightRecorder::kTaskStrict, 0, 1, 100.0, 60.0));
-  ParsedTraceEvent p0 = marker(FlightRecorder::kDesPartition, 0, 50);
-  ParsedTraceEvent p1 = marker(FlightRecorder::kDesPartition, 1, 30);
-  ParsedTraceEvent p2 = marker(FlightRecorder::kDesPartition, 2, 20);
-  p0.tid = p1.tid = p2.tid = 0;
-  p0.ts_us = p1.ts_us = p2.ts_us = 90.0;  // inside the first span
-  events.push_back(p0);
-  events.push_back(p1);
-  events.push_back(p2);
-
-  const CriticalPathSummary c = critical_path_of(events);
-  EXPECT_EQ(c.pdes_partitions, 3u);
-  EXPECT_DOUBLE_EQ(c.floor_us, 160.0);  // whole-cell chain total
-  ASSERT_EQ(c.chains.size(), 1u);
-  EXPECT_DOUBLE_EQ(c.chains[0].total_us, 160.0);
-  // 100us * 0.5 (busiest lane) + 60us unmarked = 110us.
-  EXPECT_DOUBLE_EQ(c.chains[0].pdes_total_us, 110.0);
-  EXPECT_DOUBLE_EQ(c.pdes_floor_us, 110.0);
-  EXPECT_DOUBLE_EQ(c.pdes_max_speedup(), 160.0 / 110.0);
-}
-
-TEST(CriticalPathTest, NoPdesMarkersKeepsWholeCellFloor) {
-  std::vector<ParsedTraceEvent> events;
-  events.push_back(task(FlightRecorder::kTaskStrict, 0, 1, 0.0, 100.0));
-  const CriticalPathSummary c = critical_path_of(events);
-  EXPECT_EQ(c.pdes_partitions, 0u);
-  EXPECT_DOUBLE_EQ(c.pdes_floor_us, c.floor_us);
-}
-
 TEST(CriticalPathTest, FloorIsLongestTaskWithoutStrictChains) {
   std::vector<ParsedTraceEvent> events;
   events.push_back(task(FlightRecorder::kTaskLoose, 0, 9, 0.0, 80.0));
@@ -304,6 +269,42 @@ TEST(ServiceSummaryTest, EmptyInputYieldsSafeZeroRates) {
   EXPECT_DOUBLE_EQ(summary.rejection_rate(), 0.0);
   EXPECT_DOUBLE_EQ(summary.deadline_rate(), 0.0);
   EXPECT_DOUBLE_EQ(summary.warm_fraction(), 0.0);
+}
+
+// ---------------------------------------------------------------- json --
+
+std::string nested_arrays(std::size_t depth) {
+  return std::string(depth, '[') + std::string(depth, ']');
+}
+
+TEST(JsonParseTest, NestingUpToTheLimitParses) {
+  JsonValue v = parse_json(nested_arrays(kJsonMaxDepth));
+  for (std::size_t level = 1; level < kJsonMaxDepth; ++level) {
+    ASSERT_TRUE(v.is_array());
+    ASSERT_EQ(v.array.size(), 1u);
+    v = std::move(v.array[0]);
+  }
+  EXPECT_TRUE(v.is_array());
+  EXPECT_TRUE(v.array.empty());
+  EXPECT_THROW(parse_json(nested_arrays(kJsonMaxDepth + 1)),
+               std::runtime_error);
+  // Objects count toward the same limit.
+  EXPECT_THROW(parse_json(R"({"a":)" + nested_arrays(kJsonMaxDepth) + "}"),
+               std::runtime_error);
+}
+
+// One maximum-size service frame of '[' used to recurse once per byte and
+// overflow the stack; it must fail like any other malformed document.
+TEST(JsonParseTest, MegabyteOfOpenBracketsThrows) {
+  const std::string hostile(std::size_t{1} << 20, '[');
+  try {
+    (void)parse_json(hostile);
+    FAIL() << "1 MiB of '[' parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -1,105 +1,107 @@
-/// Queue-implementation invariance: the DES contract is that swapping the
-/// calendar event queue for the legacy binary heap changes nothing about a
-/// simulation — same seed, bit-identical ExecStats. The two tiers of the
-/// calendar queue (ring + overflow heap) must therefore reproduce the
-/// heap's global FIFO-within-cycle order exactly, across workloads with
-/// different traffic patterns and across chip counts.
-///
-/// The multi-cell PDES serial-equivalence matrix (2/4/6 chips x chip and
-/// quadrant granularity) lives in test_pdes_matrix.cpp under the `slow`
-/// label; this tier-1 file keeps the fast 2-chip invariants.
+/// Whole-system DES determinism: same (workload, seed, fault plan) must
+/// give bit-identical ExecStats on every run, and an empty fault plan must
+/// leave the event stream untouched. The event queue's pop order itself is
+/// checked against a binary-heap reference queue in
+/// test_event_queue_params.cpp, and the fig10-13 golden tables pin the
+/// whole-system results.
 
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "perf/event_queue.hpp"
 #include "perf/faults.hpp"
-#include "perf/pdes.hpp"
 #include "perf/system.hpp"
-#include "pdes_run_util.hpp"
+#include "perf/workload.hpp"
+#include "resilience/schedule.hpp"
 
 namespace aqua {
 namespace {
 
-using testutil::expect_identical;
-using testutil::kWorkloads;
-using testutil::run_once;
-using testutil::seeded_plan;
-
-TEST(QueueInvariance, CalendarMatchesHeapBitForBit) {
-  for (const std::string& w : kWorkloads) {
-    for (std::size_t chips : testutil::kChipCounts) {
-      const std::string label = w + " chips=" + std::to_string(chips);
-      const ExecStats cal =
-          run_once(w, chips, EventQueue::Impl::kCalendar, false, 1);
-      const ExecStats heap =
-          run_once(w, chips, EventQueue::Impl::kBinaryHeap, false, 1);
-      expect_identical(cal, heap, label);
-    }
-  }
+ExecStats run_once(const std::string& workload, std::size_t chips,
+                   std::uint64_t seed, const PerfFaultPlan& faults = {}) {
+  CmpConfig cfg;
+  cfg.chips = chips;
+  WorkloadProfile p = npb_profile(workload);
+  p.instructions_per_thread = 2000;
+  CmpSystem system(cfg, p, gigahertz(1.6), seed);
+  if (!faults.empty()) system.inject_faults(faults);
+  return system.run();
 }
 
-// The idle-skip pump schedules different (fewer) NoC events, so its
-// results may legally differ from the exact pump — but they must still be
-// queue-implementation invariant and seed-deterministic.
-TEST(QueueInvariance, IdleSkipModeIsQueueInvariant) {
-  for (const std::string& w : kWorkloads) {
-    const std::string label = w + " idle-skip";
-    const ExecStats cal =
-        run_once(w, 2, EventQueue::Impl::kCalendar, true, 3);
-    const ExecStats heap =
-        run_once(w, 2, EventQueue::Impl::kBinaryHeap, true, 3);
-    expect_identical(cal, heap, label);
-  }
+/// Every timing-visible field must match (seconds is cycles/frequency, so
+/// deterministic too).
+void expect_identical(const ExecStats& a, const ExecStats& b,
+                      const std::string& label) {
+  EXPECT_EQ(a.cycles, b.cycles) << label;
+  EXPECT_DOUBLE_EQ(a.seconds, b.seconds) << label;
+  EXPECT_EQ(a.instructions, b.instructions) << label;
+  EXPECT_EQ(a.mem_ops, b.mem_ops) << label;
+  EXPECT_EQ(a.l1_hits, b.l1_hits) << label;
+  EXPECT_EQ(a.l1_misses, b.l1_misses) << label;
+  EXPECT_EQ(a.l2_data_hits, b.l2_data_hits) << label;
+  EXPECT_EQ(a.l2_data_misses, b.l2_data_misses) << label;
+  EXPECT_EQ(a.dram_accesses, b.dram_accesses) << label;
+  EXPECT_EQ(a.coherence_forwards, b.coherence_forwards) << label;
+  EXPECT_EQ(a.invalidations, b.invalidations) << label;
+  EXPECT_EQ(a.writebacks, b.writebacks) << label;
+  EXPECT_EQ(a.barriers, b.barriers) << label;
+  EXPECT_EQ(a.l2_overflow_inserts, b.l2_overflow_inserts) << label;
+  EXPECT_EQ(a.stall_l2_cycles, b.stall_l2_cycles) << label;
+  EXPECT_EQ(a.stall_dram_cycles, b.stall_dram_cycles) << label;
+  EXPECT_EQ(a.stall_forward_cycles, b.stall_forward_cycles) << label;
+  EXPECT_EQ(a.stall_upgrade_cycles, b.stall_upgrade_cycles) << label;
+  EXPECT_EQ(a.barrier_wait_cycles, b.barrier_wait_cycles) << label;
+  EXPECT_EQ(a.noc.packets_delivered, b.noc.packets_delivered) << label;
+  EXPECT_EQ(a.noc.flits_delivered, b.noc.flits_delivered) << label;
+  EXPECT_EQ(a.noc.total_packet_latency, b.noc.total_packet_latency) << label;
+  EXPECT_EQ(a.noc.total_hops, b.noc.total_hops) << label;
+  EXPECT_EQ(a.noc.ticks, b.noc.ticks) << label;
+  EXPECT_EQ(a.noc.cycles_skipped, b.noc.cycles_skipped) << label;
+  EXPECT_EQ(a.core_utilization, b.core_utilization) << label;
+}
+
+/// A dense seeded fault plan over a `chips`-chip system (dead cores,
+/// mid-run kills, failed links) — non-empty at these probabilities.
+PerfFaultPlan seeded_plan(std::size_t chips) {
+  CmpConfig cfg;
+  cfg.chips = chips;
+  FaultScheduleOptions opts;
+  opts.core_dead_prob = 0.2;
+  opts.core_midrun_prob = 0.3;
+  opts.midrun_window = 50000;
+  opts.link_fail_prob = 0.05;
+  return sample_fault_plan(cfg, opts, 11);
 }
 
 TEST(QueueInvariance, RepeatedRunsAreDeterministic) {
-  const ExecStats a = run_once("ft", 2, EventQueue::Impl::kCalendar, false, 7);
-  const ExecStats b = run_once("ft", 2, EventQueue::Impl::kCalendar, false, 7);
+  const ExecStats a = run_once("ft", 2, 7);
+  const ExecStats b = run_once("ft", 2, 7);
   expect_identical(a, b, "repeat seed=7");
 }
 
 // ---------------------------------------------------------------------------
-// Fault-injection invariance: the resilience contract is that a seeded
+// Fault-injection determinism: the resilience contract is that a seeded
 // fault schedule keeps the DES deterministic — same (seed, plan) must be
-// bit-identical across queue implementations and across repeats, and an
-// *empty* plan must be bit-identical to never calling inject_faults at
-// all (the graceful-degradation hooks are inert when unused).
+// bit-identical across repeats, and an *empty* plan must be bit-identical
+// to never calling inject_faults at all (the graceful-degradation hooks
+// are inert when unused).
 // ---------------------------------------------------------------------------
-
-TEST(QueueInvariance, FaultedRunIsQueueInvariant) {
-  for (const std::string& w : kWorkloads) {
-    const PerfFaultPlan plan = seeded_plan(2);
-    ASSERT_FALSE(plan.empty());
-    const std::string label = w + " faulted";
-    const ExecStats cal =
-        run_once(w, 2, EventQueue::Impl::kCalendar, false, 5, plan);
-    const ExecStats heap =
-        run_once(w, 2, EventQueue::Impl::kBinaryHeap, false, 5, plan);
-    expect_identical(cal, heap, label);
-    EXPECT_TRUE(cal.degraded) << label;
-    EXPECT_EQ(cal.cores_failed, heap.cores_failed) << label;
-    EXPECT_EQ(cal.noc_links_failed, heap.noc_links_failed) << label;
-    EXPECT_EQ(cal.noc_routers_failed, heap.noc_routers_failed) << label;
-  }
-}
 
 TEST(QueueInvariance, FaultedRunsAreRepeatable) {
   const PerfFaultPlan plan = seeded_plan(2);
-  const ExecStats a =
-      run_once("cg", 2, EventQueue::Impl::kCalendar, false, 9, plan);
-  const ExecStats b =
-      run_once("cg", 2, EventQueue::Impl::kCalendar, false, 9, plan);
+  ASSERT_FALSE(plan.empty());
+  const ExecStats a = run_once("cg", 2, 9, plan);
+  const ExecStats b = run_once("cg", 2, 9, plan);
   expect_identical(a, b, "faulted repeat seed=9");
+  EXPECT_TRUE(a.degraded);
   EXPECT_EQ(a.cores_failed, b.cores_failed);
+  EXPECT_EQ(a.noc_links_failed, b.noc_links_failed);
+  EXPECT_EQ(a.noc_routers_failed, b.noc_routers_failed);
 }
 
 TEST(QueueInvariance, EmptyPlanMatchesUninjectedRun) {
-  const ExecStats plain =
-      run_once("ft", 2, EventQueue::Impl::kCalendar, false, 1);
-  const ExecStats empty = run_once("ft", 2, EventQueue::Impl::kCalendar,
-                                   false, 1, PerfFaultPlan{});
+  const ExecStats plain = run_once("ft", 2, 1);
+  const ExecStats empty = run_once("ft", 2, 1, PerfFaultPlan{});
   // PerfFaultPlan{} is empty, so run_once skips inject_faults — assert the
   // zero-fault path through the fault-aware code is bit-identical anyway.
   CmpConfig cfg;
@@ -113,58 +115,6 @@ TEST(QueueInvariance, EmptyPlanMatchesUninjectedRun) {
   expect_identical(plain, injected_empty, "no-plan vs explicit empty plan");
   EXPECT_FALSE(injected_empty.degraded);
   EXPECT_EQ(injected_empty.cores_failed, 0u);
-}
-
-
-// ---------------------------------------------------------------------------
-// Conservative-PDES invariance (DESIGN.md §12): the partitioned scheduler
-// replays the serial global (cycle, stamp) order, so every PDES mode must
-// reproduce the single-queue run bit for bit — same ExecStats, same NoC
-// counters, same CPI stack — across workloads, chip counts and queue
-// implementations. This is the property that keeps the NPB golden tables
-// byte-identical and PDES cells cacheable under the serial cell key.
-// ---------------------------------------------------------------------------
-
-TEST(QueueInvariance, PdesIsQueueImplementationInvariant) {
-  for (const std::string& w : kWorkloads) {
-    const std::string label = w + " pdes=chip impl A/B";
-    const ExecStats cal = run_once(w, 2, EventQueue::Impl::kCalendar, false,
-                                   1, {}, PdesMode::kChip);
-    const ExecStats heap = run_once(w, 2, EventQueue::Impl::kBinaryHeap,
-                                    false, 1, {}, PdesMode::kChip);
-    expect_identical(cal, heap, label);
-  }
-}
-
-TEST(QueueInvariance, PdesIdleSkipMatchesSerialIdleSkip) {
-  // Idle-skip changes the event stream (fewer pump events) but PDES must
-  // still replay whatever stream the serial scheduler would produce.
-  for (const std::string& w : kWorkloads) {
-    const ExecStats serial =
-        run_once(w, 2, EventQueue::Impl::kCalendar, true, 3);
-    const ExecStats pdes = run_once(w, 2, EventQueue::Impl::kCalendar, true,
-                                    3, {}, PdesMode::kChip);
-    expect_identical(serial, pdes, w + " idle-skip pdes=chip");
-  }
-}
-
-// Fault policy (DESIGN.md §12): a non-empty fault plan forces the serial
-// path, so a faulted PDES-requested run is bit-identical to the faulted
-// serial run — not merely "close".
-TEST(QueueInvariance, FaultedPdesRunTakesTheSerialPathExactly) {
-  const PerfFaultPlan plan = seeded_plan(2);
-  ASSERT_FALSE(plan.empty());
-  for (const std::string& w : kWorkloads) {
-    const std::string label = w + " faulted pdes=chip";
-    const ExecStats serial =
-        run_once(w, 2, EventQueue::Impl::kCalendar, false, 5, plan);
-    const ExecStats pdes = run_once(w, 2, EventQueue::Impl::kCalendar, false,
-                                    5, plan, PdesMode::kChip);
-    expect_identical(serial, pdes, label);
-    EXPECT_TRUE(pdes.pdes.forced_off) << label;
-    EXPECT_EQ(pdes.pdes.windows, 0u) << label;
-    EXPECT_EQ(serial.cores_failed, pdes.cores_failed) << label;
-  }
 }
 
 }  // namespace

@@ -261,6 +261,26 @@ TEST_F(ServerTest, MalformedJsonGetsBadRequestAndTheStreamContinues) {
   EXPECT_EQ(pong->op, Response::Op::kPong);
 }
 
+// A maximum-size frame of '[' is well-framed but nests past the JSON
+// parser's depth limit: it must get a typed bad_request like any other
+// malformed payload, not crash the daemon, and the connection stays in
+// sync.
+TEST_F(ServerTest, DeeplyNestedFrameGetsBadRequestAndTheStreamContinues) {
+  SweepServer& server = start({});
+  RawConn conn(server.port());
+  conn.send_bytes(encode_frame(std::string(kMaxFrameBytes, '[')));
+  const auto error = conn.read_response();
+  ASSERT_TRUE(error.has_value()) << "a nested frame must be answered";
+  EXPECT_EQ(error->op, Response::Op::kError);
+  EXPECT_EQ(error->code, error_code::kBadRequest);
+
+  conn.send_bytes(ping_frame(3));
+  const auto pong = conn.read_response();
+  ASSERT_TRUE(pong.has_value());
+  EXPECT_EQ(pong->op, Response::Op::kPong);
+  EXPECT_EQ(server.stats_snapshot().at("bad_requests"), 1.0);
+}
+
 TEST_F(ServerTest, BadLengthPrefixClosesOnlyThatConnection) {
   SweepServer& server = start({});
   {

@@ -159,6 +159,27 @@ TEST_F(SweepCacheTest, GarbageLinesAreCountedNotTrusted) {
   EXPECT_EQ(summary.bad_lines, 4u);
 }
 
+// A line of 1 MiB of '[' (a hostile or garbled disk line) is one more
+// corrupt line: the loader skips and counts it, and the valid records
+// around it still load.
+TEST_F(SweepCacheTest, DeeplyNestedLineIsSkippedAsCorrupt) {
+  SweepCache& cache = SweepCache::instance();
+  const CellConfig before = htc_cell("low_power", 4, 800.0, {});
+  const CellConfig after = htc_cell("low_power", 4, 1600.0, {});
+  cache.store(before, {{"temperature_c", 61.5}});
+  std::ofstream(file_path(), std::ios::app)
+      << std::string(std::size_t{1} << 20, '[') << "\n";
+  reload();
+  SweepCache::instance().store(after, {{"temperature_c", 49.25}});
+  reload();
+  SweepCache& reloaded = SweepCache::instance();
+  EXPECT_EQ(reloaded.stats().loaded, 2u);
+  EXPECT_EQ(reloaded.stats().bad_lines, 1u);
+  EXPECT_TRUE(reloaded.lookup(before, nullptr));
+  EXPECT_TRUE(reloaded.lookup(after, nullptr));
+  EXPECT_EQ(inspect_cache_file(file_path()).bad_lines, 1u);
+}
+
 TEST_F(SweepCacheTest, StaleSaltYieldsZeroHits) {
   SweepCache& cache = SweepCache::instance();
   const CellConfig a = htc_cell("low_power", 4, 800.0, {});

@@ -115,22 +115,6 @@ TEST(CellKey, NpbDesKeyOmitsCooling) {
   EXPECT_NE(a.hash(), npb_des_cell(8, 4, "ft", 1.6e9, 100000, 1, false).hash());
 }
 
-TEST(CellKey, NpbDesKeyIsPdesModeInvariant) {
-  // Cell policy (DESIGN.md §12): AQUA_DES_PDES is an execution strategy,
-  // not a cell parameter — PDES runs are byte-identical to serial runs, so
-  // the cell key must not split (or the cache would recompute identical
-  // tables per mode). The builder never records a pdes field, and the key
-  // must not read the environment.
-  const CellConfig a = npb_des_cell(6, 4, "ft", 1.6e9, 100000, 1, false);
-  EXPECT_FALSE(a.contains("pdes"));
-  ::setenv("AQUA_DES_PDES", "chip", 1);
-  const CellConfig b = npb_des_cell(6, 4, "ft", 1.6e9, 100000, 1, false);
-  ::unsetenv("AQUA_DES_PDES");
-  EXPECT_FALSE(b.contains("pdes"));
-  EXPECT_EQ(a.canonical(), b.canonical());
-  EXPECT_EQ(a.hash(), b.hash());
-}
-
 // ------------------------------------------------------- float exactness --
 
 TEST(CellKey, DoubleSerializationRoundTripsBitwise) {
