@@ -18,7 +18,6 @@
 #include "bench_util.hpp"
 #include "obs/metrics.hpp"
 #include "power/chip_model.hpp"
-#include "resilience/journal.hpp"
 #include "sweep/cache.hpp"
 #include "sweep/cell_key.hpp"
 #include "sweep/shard.hpp"
@@ -135,8 +134,8 @@ int main(int argc, char** argv) {
   // Cold computes only: a warm cache or resume journal would serve cells
   // without work and void both the scaling numbers and the gate.
   ::unsetenv(aqua::sweep::SweepCache::kEnv);
-  ::unsetenv(aqua::SweepJournal::kResumeEnv);
-  ::unsetenv(aqua::SweepJournal::kPoisonEnv);
+  ::unsetenv(aqua::sweep::kResumeEnv);
+  ::unsetenv(aqua::sweep::kPoisonEnv);
   ::unsetenv(aqua::sweep::ShardPlan::kShardsEnv);
   ::unsetenv(aqua::sweep::ShardPlan::kShardIdEnv);
   aqua::sweep::SweepCache::instance().configure("");

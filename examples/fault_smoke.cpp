@@ -23,8 +23,8 @@
 #include "core/experiments.hpp"
 #include "perf/system.hpp"
 #include "power/chip_model.hpp"
-#include "resilience/journal.hpp"
 #include "resilience/schedule.hpp"
+#include "sweep/shard.hpp"
 
 namespace {
 
@@ -61,15 +61,15 @@ int main(int argc, char** argv) {
       "chip=" + chip.name() + ";chips=2;cooling=water";
 
   std::cout << "[1/4] reference sweep (no faults, no journal)\n";
-  unsetenv(aqua::SweepJournal::kResumeEnv);
-  unsetenv(aqua::SweepJournal::kPoisonEnv);
+  unsetenv(aqua::sweep::kResumeEnv);
+  unsetenv(aqua::sweep::kPoisonEnv);
   const aqua::FreqVsChipsData reference =
       aqua::frequency_vs_chips(chip, kChips);
   check(reference.failed_cells.empty(), "reference has no failed cells");
 
   std::cout << "[2/4] poisoned sweep (journaled)\n";
-  setenv(aqua::SweepJournal::kResumeEnv, journal.c_str(), 1);
-  setenv(aqua::SweepJournal::kPoisonEnv,
+  setenv(aqua::sweep::kResumeEnv, journal.c_str(), 1);
+  setenv(aqua::sweep::kPoisonEnv,
          ("freq_vs_chips:" + poisoned_cell).c_str(), 1);
   const aqua::FreqVsChipsData poisoned =
       aqua::frequency_vs_chips(chip, kChips);
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
   check(others_match, "all other cells match the reference bit-exactly");
 
   std::cout << "[3/4] resume after emulated mid-sweep kill\n";
-  unsetenv(aqua::SweepJournal::kPoisonEnv);
+  unsetenv(aqua::sweep::kPoisonEnv);
   const aqua::FreqVsChipsData resumed =
       aqua::frequency_vs_chips(chip, kChips);
   check(resumed.failed_cells.empty(), "no failures after the poison lifts");
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
         "every completed cell was served from the journal");
   check(same_tables(reference, resumed),
         "resumed table is bit-identical to the uninterrupted reference");
-  unsetenv(aqua::SweepJournal::kResumeEnv);
+  unsetenv(aqua::sweep::kResumeEnv);
 
   std::cout << "[4/4] seeded DES fault plan\n";
   aqua::CmpConfig config;  // 1 chip, 4 cores, 4x4 mesh

@@ -12,14 +12,16 @@
 ///   $ ./build/examples/trace_tools merge out.json a.json b.json
 ///   $ ./build/examples/trace_tools check TRACE_aqua.json
 ///   $ ./build/examples/trace_tools cache /path/to/cache-dir
+///   $ ./build/examples/trace_tools cache fault_drill.jsonl
 ///
 /// Replaying a captured trace reproduces the synthetic run cycle-for-cycle
 /// — the regression-pinning workflow for simulator changes. `summarize`
 /// prints a per-span wall-time table, `merge` concatenates several trace
 /// files into one Chrome-loadable file, and `check` validates a file parses
 /// as trace-event JSON (exit 1 malformed, exit 2 missing — the CI gate).
-/// `cache` summarizes AQUA_SWEEP_CACHE files (a directory argument means
-/// its sweep_cache.jsonl): valid entries, duplicates, corrupt lines and
+/// `cache` summarizes AQUA_SWEEP_CACHE and AQUA_SWEEP_RESUME files (a
+/// directory argument means its sweep_cache.jsonl): valid entries and how
+/// many hold an ok or a failed cell, duplicates, corrupt lines and
 /// stale-salt records, broken down per sweep family.
 ///
 /// The flight-recorder commands read a trace recorded with AQUA_TRACE=1:
@@ -66,13 +68,15 @@ int usage() {
   return 2;
 }
 
-/// `cache`: lenient inspection of sweep-cache files. A directory argument
-/// resolves to its sweep_cache.jsonl. Missing paths fail (typo guard);
-/// corrupt or stale lines only report — the loader skips them at runtime.
+/// `cache`: lenient inspection of sweep-cache and resume-journal files. A
+/// directory argument resolves to its sweep_cache.jsonl. Missing paths fail
+/// (typo guard); corrupt or stale lines only report — the loader skips them
+/// at runtime.
 int run_cache(int argc, char** argv) {
   if (argc < 3) return usage();
   bool ok = true;
-  aqua::Table table({"file", "entries", "records", "bad lines", "stale salt"});
+  aqua::Table table({"file", "entries", "ok", "failed", "records",
+                     "bad lines", "stale salt"});
   std::map<std::string, std::size_t> per_sweep;
   for (int i = 2; i < argc; ++i) {
     std::filesystem::path path = argv[i];
@@ -89,6 +93,8 @@ int run_cache(int argc, char** argv) {
     table.row()
         .add(path.string())
         .add_int(static_cast<long long>(s.entries))
+        .add_int(static_cast<long long>(s.entries - s.failed))
+        .add_int(static_cast<long long>(s.failed))
         .add_int(static_cast<long long>(s.records))
         .add_int(static_cast<long long>(s.bad_lines))
         .add_int(static_cast<long long>(s.stale_salt));
@@ -97,7 +103,7 @@ int run_cache(int argc, char** argv) {
   table.print(std::cout);
   if (!per_sweep.empty()) {
     std::cout << "\n";
-    aqua::Table breakdown({"sweep family", "entries"});
+    aqua::Table breakdown({"sweep family", "records"});
     for (const auto& [sweep, count] : per_sweep) {
       breakdown.row().add(sweep).add_int(static_cast<long long>(count));
     }

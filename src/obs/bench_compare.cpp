@@ -64,9 +64,16 @@ std::string bench_name_of(const std::string& path) {
 
 MetricKind classify_metric(std::string_view key) {
   if (key == "schema_version") return MetricKind::kIgnored;
+  // Per-worker-count keys (`wall_seconds_w4`) take their base name's kind.
+  std::string_view base = key;
+  if (const std::size_t w = base.rfind("_w");
+      w != std::string_view::npos && w + 2 < base.size() &&
+      base.find_first_not_of("0123456789", w + 2) == std::string_view::npos) {
+    base = base.substr(0, w);
+  }
   for (const char* suffix : {"_seconds", "_wall_seconds", "_us", "_ns",
                              "_ms", "seconds"}) {
-    if (has_suffix(key, suffix)) return MetricKind::kTiming;
+    if (has_suffix(base, suffix)) return MetricKind::kTiming;
   }
   // The ledger's non-timing fields are snapshot-diffs of process-wide
   // counters: approximate whenever cells run concurrently (see
@@ -74,7 +81,9 @@ MetricKind classify_metric(std::string_view key) {
   // sweep-level twins (sweep_iterations, sweep_vcycles, sweep_cells) gate
   // instead.
   if (key.substr(0, 15) == "cost_breakdown.") return MetricKind::kIgnored;
-  if (has_suffix(key, "_per_sec") || has_suffix(key, "_per_second")) {
+  // Work-stealing counts follow thread scheduling, not the work done.
+  if (key.substr(0, 7) == "steals_") return MetricKind::kIgnored;
+  if (has_suffix(base, "_per_sec") || has_suffix(base, "_per_second")) {
     return MetricKind::kRate;
   }
   // The per-worker speedup keys are wall-clock ratios: as noisy as the

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "obs/json_writer.hpp"
@@ -10,9 +11,7 @@
 
 namespace aqua::sweep {
 
-namespace {
-
-struct CacheMetrics {
+struct SweepCache::Metrics {
   obs::Counter& hits = obs::Registry::instance().counter("sweep.cache_hits");
   obs::Counter& misses =
       obs::Registry::instance().counter("sweep.cache_misses");
@@ -24,11 +23,56 @@ struct CacheMetrics {
       obs::Registry::instance().counter("sweep.cache_bad_lines");
   obs::Counter& stale =
       obs::Registry::instance().counter("sweep.cache_stale_salt");
+
+  static Metrics& instance() {
+    static Metrics metrics;
+    return metrics;
+  }
 };
 
-CacheMetrics& cache_metrics() {
-  static CacheMetrics metrics;
-  return metrics;
+namespace {
+
+const char* kind_of(const std::string& sweep) {
+  return sweep.empty() ? "sweep_cache" : "sweep_cell";
+}
+
+/// FNV-1a over salt, 0x1f, [sweep, 0x1f,] key: for a cache record (no
+/// sweep) this is exactly CellConfig::hash() of the canonical key.
+std::string record_hash(const std::string& sweep, const std::string& key) {
+  const std::string_view sep("\x1f", 1);
+  std::uint64_t h = fnv1a64(sep, fnv1a64(kCellKeySalt));
+  if (!sweep.empty()) h = fnv1a64(sep, fnv1a64(sweep, h));
+  return to_hex16(fnv1a64(key, h));
+}
+
+/// One valid record as the loader hands it out.
+struct Record {
+  std::string_view line;
+  std::string sweep;  ///< "" for content-cache records
+  std::string key;
+  bool ok = true;
+  std::map<std::string, double> values;
+};
+
+bool is_string(const obs::JsonValue* v) {
+  return v != nullptr && v->kind == obs::JsonValue::Kind::kString;
+}
+
+/// Encodes one record line (with its newline); values use the "v_" prefix.
+std::string encode_record(const std::string& sweep, const std::string& key,
+                          const std::map<std::string, double>* values,
+                          const std::string* error) {
+  obs::JsonWriter w;
+  w.add("kind", kind_of(sweep))
+      .add("salt", kCellKeySalt)
+      .add("hash", record_hash(sweep, key));
+  if (!sweep.empty()) w.add("sweep", sweep);
+  w.add("cell", key);
+  if (error != nullptr) w.add("status", "failed").add("error", *error);
+  if (values != nullptr) {
+    for (const auto& [name, value] : *values) w.add("v_" + name, value);
+  }
+  return w.str() + '\n';
 }
 
 /// Extracts the "sweep" field from a canonical cell string ("" if absent).
@@ -45,31 +89,36 @@ std::string sweep_field_of(const std::string& canonical) {
   return "";
 }
 
-/// Lenient line-by-line scan. For every valid record calls
-/// `accept(cell, values)`; malformed / stale lines only bump the summary.
+/// The one lenient line-by-line scan. For every valid record calls
+/// `accept(record)`; malformed / stale lines only bump the summary.
 template <class Accept>
-CacheFileSummary scan_cache_file(const std::string& path,
-                                 const Accept& accept) {
+CacheFileSummary scan_file(const std::string& path, const Accept& accept) {
   CacheFileSummary summary;
   std::ifstream in(path);
   if (!in.is_open()) return summary;
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    obs::JsonValue rec;
+    obs::JsonValue doc;
     try {
-      rec = obs::parse_json(line);
+      doc = obs::parse_json(line);
     } catch (const std::exception&) {
       ++summary.bad_lines;
       continue;
     }
-    const obs::JsonValue* kind = rec.find("kind");
-    const obs::JsonValue* salt = rec.find("salt");
-    const obs::JsonValue* hash = rec.find("hash");
-    const obs::JsonValue* cell = rec.find("cell");
-    if (!rec.is_object() || kind == nullptr ||
-        kind->string != "sweep_cache" || salt == nullptr ||
-        hash == nullptr || cell == nullptr) {
+    const obs::JsonValue* kind = doc.find("kind");
+    const obs::JsonValue* salt = doc.find("salt");
+    const obs::JsonValue* hash = doc.find("hash");
+    const obs::JsonValue* sweep = doc.find("sweep");
+    const obs::JsonValue* cell = doc.find("cell");
+    const obs::JsonValue* status = doc.find("status");
+    Record rec;
+    rec.sweep = is_string(sweep) ? sweep->string : std::string();
+    if (!is_string(kind) || kind->string != kind_of(rec.sweep) ||
+        !is_string(salt) || !is_string(hash) || !is_string(cell) ||
+        (sweep != nullptr && !is_string(sweep)) ||
+        (status != nullptr &&
+         !(is_string(status) && status->string == "failed"))) {
       ++summary.bad_lines;
       continue;
     }
@@ -78,27 +127,53 @@ CacheFileSummary scan_cache_file(const std::string& path,
       continue;
     }
     // Content addressing doubles as an integrity check: a record whose
-    // stored hash does not reproduce from its cell text was truncated or
-    // edited, and is recomputed rather than trusted.
-    std::uint64_t h = fnv1a64(kCellKeySalt);
-    h = fnv1a64(std::string_view("\x1f", 1), h);
-    h = fnv1a64(cell->string, h);
-    if (hash->string != to_hex16(h)) {
+    // stored hash does not reproduce from its sweep and key was truncated
+    // or edited, and is recomputed rather than trusted.
+    if (hash->string != record_hash(rec.sweep, cell->string)) {
       ++summary.bad_lines;
       continue;
     }
-    std::map<std::string, double> values;
-    for (const auto& [key, value] : rec.object) {
-      if (key.rfind("v_", 0) == 0 &&
+    rec.line = line;
+    rec.key = cell->string;
+    rec.ok = status == nullptr;
+    for (const auto& [name, value] : doc.object) {
+      if (name.rfind("v_", 0) == 0 &&
           value.kind == obs::JsonValue::Kind::kNumber) {
-        values[key.substr(2)] = value.number;
+        rec.values[name.substr(2)] = value.number;
       }
     }
     ++summary.records;
-    ++summary.per_sweep[sweep_field_of(cell->string)];
-    accept(cell->string, std::move(values));
+    ++summary.per_sweep[rec.sweep.empty() ? sweep_field_of(rec.key)
+                                          : rec.sweep];
+    accept(std::move(rec));
   }
   return summary;
+}
+
+/// Opens `path` for appending. A mid-write kill can leave the file ending
+/// in a torn half-line; appends then start on a fresh line so new records
+/// are not glued onto it.
+void open_append(std::ofstream& out, const std::string& path) {
+  bool needs_newline = false;
+  if (std::ifstream tail(path, std::ios::binary); tail.is_open()) {
+    tail.seekg(0, std::ios::end);
+    if (tail.tellg() > 0) {
+      tail.seekg(-1, std::ios::end);
+      needs_newline = tail.get() != '\n';
+    }
+  }
+  out.open(path, std::ios::app);
+  ensure(out.is_open(), "cannot open sweep store: " + path);
+  if (needs_newline) out << '\n';
+}
+
+/// One pre-built line, one write call, one flush: a record is either
+/// appended whole (with its newline) or not at all, so a kill — or another
+/// process appending to the same file — never interleaves inside a record
+/// and the lenient loader's worst case is one torn tail line.
+void append_line(std::ofstream& out, std::string_view line) {
+  out.write(line.data(), static_cast<std::streamsize>(line.size()));
+  out.flush();
 }
 
 }  // namespace
@@ -114,26 +189,43 @@ SweepCache& SweepCache::instance() {
   return *cache;
 }
 
+// A content-cache key is the whole canonical cell, so a stored cell is
+// safe to serve back; a journal label is not (see cache.hpp).
+SweepCache::SweepCache(std::string sweep)
+    : sweep_(std::move(sweep)), serves_stores_(sweep_.empty()) {}
+
 void SweepCache::configure(const std::string& dir) {
+  if (dir.empty()) {
+    open("");
+    return;
+  }
+  std::filesystem::create_directories(dir);
+  open((std::filesystem::path(dir) / kFileName).string());
+}
+
+void SweepCache::open(const std::string& path) {
   std::lock_guard lock(mutex_);
   if (out_.is_open()) out_.close();
   entries_.clear();
   stats_ = Stats{};
-  dir_ = dir;
-  path_.clear();
-  if (dir_.empty()) return;
-  std::filesystem::create_directories(dir_);
-  path_ = (std::filesystem::path(dir_) / kFileName).string();
-  const CacheFileSummary summary =
-      scan_cache_file(path_, [&](const std::string& cell,
-                                 std::map<std::string, double>&& values) {
-        entries_[cell] = std::move(values);  // duplicate records: last wins
-      });
+  path_ = path;
+  metrics_ = nullptr;
+  if (path_.empty()) return;
+  const CacheFileSummary summary = scan_file(path_, [&](Record&& rec) {
+    // Another sweep's records, and failed cells (which always retry), are
+    // not served. Duplicate records: last wins.
+    if (rec.sweep != sweep_ || !rec.ok) return;
+    entries_[std::move(rec.key)] = std::move(rec.values);
+  });
   stats_.loaded = entries_.size();
   stats_.bad_lines = summary.bad_lines;
   stats_.stale_salt = summary.stale_salt;
-  cache_metrics().bad_lines.add(summary.bad_lines);
-  cache_metrics().stale.add(summary.stale_salt);
+  // Only the content cache feeds the registry; a journal counts in stats_.
+  if (sweep_.empty()) {
+    metrics_ = &Metrics::instance();
+    metrics_->bad_lines.add(summary.bad_lines);
+    metrics_->stale.add(summary.stale_salt);
+  }
 }
 
 bool SweepCache::enabled() const {
@@ -146,67 +238,45 @@ std::string SweepCache::file_path() const {
   return path_;
 }
 
-bool SweepCache::lookup(const CellConfig& config,
+bool SweepCache::lookup(const std::string& key,
                         std::map<std::string, double>* out) {
   std::lock_guard lock(mutex_);
   if (path_.empty()) return false;
-  const auto it = entries_.find(config.canonical());
-  if (it == entries_.end()) {
-    ++stats_.misses;
-    cache_metrics().misses.add();
-    return false;
-  }
-  ++stats_.hits;
-  cache_metrics().hits.add();
-  if (out != nullptr) *out = it->second;
-  return true;
+  const auto it = entries_.find(key);
+  const bool hit = it != entries_.end();
+  ++(hit ? stats_.hits : stats_.misses);
+  if (metrics_ != nullptr) (hit ? metrics_->hits : metrics_->misses).add();
+  if (hit && out != nullptr) *out = it->second;
+  return hit;
 }
 
-void SweepCache::store(const CellConfig& config,
+void SweepCache::store(const std::string& key,
                        const std::map<std::string, double>& values) {
   std::lock_guard lock(mutex_);
+  if (path_.empty() || entries_.count(key) != 0) return;
+  append(encode_record(sweep_, key, &values, nullptr));
+  if (serves_stores_) entries_.emplace(key, values);
+}
+
+void SweepCache::store_failed(const std::string& key,
+                              const std::string& error) {
+  std::lock_guard lock(mutex_);
   if (path_.empty()) return;
-  const std::string canonical = config.canonical();
-  if (!entries_.emplace(canonical, values).second) return;  // already stored
-  obs::JsonWriter w;
-  w.add("kind", "sweep_cache")
-      .add("salt", kCellKeySalt)
-      .add("hash", config.hash_hex())
-      .add("cell", canonical);
-  for (const auto& [key, value] : values) w.add("v_" + key, value);
-  if (!out_.is_open()) {
-    // A mid-write kill can leave the file ending in a torn half-line; start
-    // appends on a fresh line so new records are not glued onto it.
-    bool needs_newline = false;
-    if (std::ifstream tail(path_, std::ios::binary); tail.is_open()) {
-      tail.seekg(0, std::ios::end);
-      if (tail.tellg() > 0) {
-        tail.seekg(-1, std::ios::end);
-        needs_newline = tail.get() != '\n';
-      }
-    }
-    out_.open(path_, std::ios::app);
-    ensure(out_.is_open(), "cannot open sweep cache: " + path_);
-    if (needs_newline) out_ << '\n';
-  }
-  // One pre-built line, one write call, one flush: a record is either
-  // appended whole (with its newline) or not at all, so a kill — or
-  // another process appending to the same file — never interleaves inside
-  // a record and the lenient loader's worst case is one torn tail line.
-  const std::string line = w.str() + '\n';
-  out_.write(line.data(), static_cast<std::streamsize>(line.size()));
-  out_.flush();
+  append(encode_record(sweep_, key, nullptr, &error));
+}
+
+void SweepCache::append(const std::string& line) {
+  if (!out_.is_open()) open_append(out_, path_);
+  append_line(out_, line);
   ++stats_.stores;
-  cache_metrics().stores.add();
+  if (metrics_ != nullptr) metrics_->stores.add();
 }
 
 void SweepCache::count_skip() {
-  {
-    std::lock_guard lock(mutex_);
-    if (path_.empty()) return;
-    ++stats_.skips;
-  }
-  cache_metrics().skips.add();
+  std::lock_guard lock(mutex_);
+  if (path_.empty()) return;
+  ++stats_.skips;
+  if (metrics_ != nullptr) metrics_->skips.add();
 }
 
 SweepCache::Stats SweepCache::stats() const {
@@ -215,13 +285,30 @@ SweepCache::Stats SweepCache::stats() const {
 }
 
 CacheFileSummary inspect_cache_file(const std::string& path) {
-  std::map<std::string, std::map<std::string, double>> unique;
-  CacheFileSummary summary = scan_cache_file(
-      path, [&](const std::string& cell, std::map<std::string, double>&& v) {
-        unique[cell] = std::move(v);
-      });
-  summary.entries = unique.size();
+  std::map<std::string, bool> ok_by_key;  // sweep 0x1f key -> ok
+  CacheFileSummary summary = scan_file(path, [&](Record&& rec) {
+    ok_by_key[rec.sweep + '\x1f' + rec.key] |= rec.ok;
+  });
+  summary.entries = ok_by_key.size();
+  for (const auto& [key, ok] : ok_by_key) summary.failed += !ok;
   return summary;
+}
+
+std::size_t merge_journal_files(const std::string& out_path,
+                                const std::vector<std::string>& inputs) {
+  std::ofstream out;
+  open_append(out, out_path);
+  std::size_t written = 0;
+  for (const std::string& input : inputs) {
+    // A shard that never wrote is fine: a missing file scans empty.
+    scan_file(input, [&](Record&& rec) {
+      if (rec.sweep.empty()) return;  // cache records are not journal lines
+      append_line(out, std::string(rec.line) + '\n');
+      ++written;
+    });
+  }
+  ensure(out.good(), "failed writing merged journal: " + out_path);
+  return written;
 }
 
 }  // namespace aqua::sweep

@@ -18,10 +18,13 @@
 ///     handlers the long-running drivers install. The runner checks it on
 ///     every cell entry, so an interrupted sweep stops starting new work
 ///     within one cell, leaves the journal/cache files at a clean line
-///     boundary (both are appended-and-flushed per cell), and the driver
-///     exits cleanly instead of dying mid-write. Re-running with
-///     AQUA_SWEEP_RESUME then recomputes only the missing cells and the
-///     table is bit-identical to an uninterrupted run.
+///     boundary (the cell store appends each record with one write and a
+///     flush), and the figure program exits cleanly instead of dying
+///     mid-write. Re-running with AQUA_SWEEP_RESUME then recomputes only
+///     the missing cells and the table is bit-identical to an
+///     uninterrupted run. A hard kill mid-append leaves at most one torn
+///     tail line, which the resume loader counts and skips
+///     (sweep/cache.hpp).
 ///
 /// Signal-safety: the handler only stores to a lock-free atomic flag.
 

@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 
-#include "common/error.hpp"
 #include "obs/json_writer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
-#include "obs/trace_reader.hpp"
-#include "sweep/cache.hpp"
 #include "sweep/task_engine.hpp"
 
 namespace aqua::sweep {
@@ -58,7 +54,10 @@ const char* to_string(CellSource source) {
 SweepRunner::SweepRunner(std::string sweep)
     : sweep_(std::move(sweep)),
       journal_(sweep_),
-      shard_(ShardPlan::from_env()) {}
+      poisons_(poisoned_cells_from_env(sweep_)),
+      shard_(ShardPlan::from_env()) {
+  journal_.open(resume_path_from_env());
+}
 
 CellSource SweepRunner::run(
     const CellConfig& config, const std::string& cell,
@@ -91,11 +90,12 @@ CellSource SweepRunner::run(
   // 1. Journal resume: a previously completed cell is served verbatim.
   {
     const auto t0 = SteadyClock::now();
-    const auto* values = journal_.lookup(cell);
+    std::map<std::string, double> values;
+    const bool hit = journal_.lookup(cell, &values);
     cost.journal_us += us_since(t0);
-    if (values != nullptr) {
+    if (hit) {
       const auto t1 = SteadyClock::now();
-      apply(*values);
+      apply(values);
       cost.apply_us += us_since(t1);
       journal_hits_.fetch_add(1, std::memory_order_relaxed);
       return finish(CellSource::kJournal);
@@ -106,10 +106,10 @@ CellSource SweepRunner::run(
 
   // 2. Poison: deterministic fault injection always fails the cell, and a
   // poisoned cell must never reach the cache (in either direction).
-  if (journal_.poisoned(cell)) {
+  if (std::find(poisons_.begin(), poisons_.end(), cell) != poisons_.end()) {
     const auto t0 = SteadyClock::now();
-    journal_.record_failed(cell, std::string("cell poisoned by ") +
-                                     SweepJournal::kPoisonEnv + ": " + cell);
+    record_failed(cell,
+                  std::string("cell poisoned by ") + kPoisonEnv + ": " + cell);
     cost.serialize_us += us_since(t0);
     cache.count_skip();
     failed_.fetch_add(1, std::memory_order_relaxed);
@@ -164,7 +164,7 @@ CellSource SweepRunner::run(
     apply(values);
     cost.apply_us += us_since(t0);
     const auto t1 = SteadyClock::now();
-    journal_.record_ok(cell, values);
+    journal_.store(cell, values);
     cost.serialize_us += us_since(t1);
     memo_hits_.fetch_add(1, std::memory_order_relaxed);
     return finish(CellSource::kMemo);
@@ -200,7 +200,7 @@ CellSource SweepRunner::run(
       apply(values);
       cost.apply_us += us_since(t1);
       const auto t2 = SteadyClock::now();
-      journal_.record_ok(cell, values);
+      journal_.store(cell, values);
       cost.serialize_us += us_since(t2);
       cache_hits_.fetch_add(1, std::memory_order_relaxed);
       return finish(CellSource::kCache);
@@ -240,7 +240,7 @@ CellSource SweepRunner::run(
     cost.compute_us += us_since(compute_start);
     abandon();
     const auto t0 = SteadyClock::now();
-    journal_.record_failed(cell, e.what());
+    record_failed(cell, e.what());
     cost.serialize_us += us_since(t0);
     failed_.fetch_add(1, std::memory_order_relaxed);
     return finish(CellSource::kFailed);
@@ -266,7 +266,7 @@ CellSource SweepRunner::run(
   apply(values);
   cost.apply_us += us_since(apply_start);
   const auto serialize_start = SteadyClock::now();
-  journal_.record_ok(cell, values);
+  journal_.store(cell, values);
   if (policy.cacheable) {
     cache.store(config, values);
   } else {
@@ -301,6 +301,20 @@ void SweepRunner::record_cost(const std::string& cell, CellSource source,
         .add("cg_iterations", cost.cg_iterations)
         .add("vcycles", cost.vcycles)
         .add("des_events", cost.des_events);
+  });
+}
+
+void SweepRunner::record_failed(const std::string& cell,
+                                const std::string& error) {
+  journal_.store_failed(cell, error);
+  obs::RunReport& report = obs::RunReport::instance();
+  if (!report.enabled()) return;
+  report.emit("degraded_result", [&](obs::JsonWriter& w) {
+    w.add("stage", "experiment")
+        .add("what", "sweep_cell_failed")
+        .add("sweep", sweep_)
+        .add("cell", cell)
+        .add("error", error);
   });
 }
 
@@ -342,33 +356,6 @@ void SweepRunner::emit_report() const {
         .add("cache_stores", c.stores)
         .add("cache_skips", c.skips);
   });
-}
-
-std::size_t merge_journal_files(const std::string& out_path,
-                                const std::vector<std::string>& inputs) {
-  std::ofstream out(out_path, std::ios::app);
-  ensure(out.is_open(), "cannot open merged journal: " + out_path);
-  std::size_t written = 0;
-  for (const std::string& input : inputs) {
-    std::ifstream in(input);
-    if (!in.is_open()) continue;  // a shard that never wrote is fine
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      try {
-        const obs::JsonValue rec = obs::parse_json(line);
-        const obs::JsonValue* kind = rec.find("kind");
-        if (kind == nullptr || kind->string != "sweep_cell") continue;
-      } catch (const std::exception&) {
-        continue;  // torn shard line: skip, the cell just recomputes
-      }
-      out << line << '\n';
-      ++written;
-    }
-  }
-  out.flush();
-  ensure(out.good(), "failed writing merged journal: " + out_path);
-  return written;
 }
 
 void dispatch_cells(std::size_t count,

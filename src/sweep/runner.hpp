@@ -3,7 +3,10 @@
 /// SweepRunner: the one code path every Fig. 7-13 sweep cell goes through
 /// (DESIGN.md §9). It composes, in fixed precedence order:
 ///
-///   1. journal resume  (AQUA_SWEEP_RESUME, PR-4 semantics unchanged)
+///   1. journal resume  (AQUA_SWEEP_RESUME: the runner's own SweepCache
+///                       instance, namespaced by the sweep name and keyed
+///                       by cell label; ok cells loaded at construction
+///                       replay verbatim, cells this runner stores do not)
 ///   2. poison          (AQUA_FAULT_CELL cells always fail, are journaled
 ///                       as failed, and are NEVER written to the cache)
 ///   3. in-process memo (dedupe of identical cells inside one sweep —
@@ -49,7 +52,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "resilience/journal.hpp"
+#include "sweep/cache.hpp"
 #include "sweep/cell_key.hpp"
 #include "sweep/cost.hpp"
 #include "sweep/interrupt.hpp"
@@ -87,8 +90,9 @@ struct CellPolicy {
 
 class SweepRunner {
  public:
-  /// `sweep` names the journal namespace (same contract as SweepJournal).
-  /// Shard plan and cache state are read at construction.
+  /// `sweep` names the journal namespace and the AQUA_FAULT_CELL prefix.
+  /// Resume journal, poison list and shard plan are read from the env at
+  /// construction (sweep/shard.hpp).
   explicit SweepRunner(std::string sweep);
 
   /// Runs one cell. `compute` produces the cell's values; `apply` writes
@@ -136,8 +140,11 @@ class SweepRunner {
   /// emits its `cell_cost` record.
   void record_cost(const std::string& cell, CellSource source,
                    const CellCost& cost);
+  /// Journals a failed cell and emits its `degraded_result` record.
+  void record_failed(const std::string& cell, const std::string& error);
   std::string sweep_;
-  SweepJournal journal_;
+  SweepCache journal_;  ///< disabled unless AQUA_SWEEP_RESUME is set
+  std::vector<std::string> poisons_;  ///< this sweep's AQUA_FAULT_CELL cells
   ShardPlan shard_;
 
   /// Single-flight memo entry: one per canonical key. `memo_mutex_` only
@@ -165,13 +172,6 @@ class SweepRunner {
   std::atomic<std::size_t> failed_{0};
   std::atomic<std::size_t> cancelled_{0};
 };
-
-/// Merges JSON-lines sweep journals: appends every valid "sweep_cell" line
-/// of `inputs` (in order) to `out_path`, skipping unparsable lines.
-/// Returns the number of records written. The merge of per-shard journals
-/// replayed with AQUA_SWEEP_RESUME reassembles the full table.
-std::size_t merge_journal_files(const std::string& out_path,
-                                const std::vector<std::string>& inputs);
 
 /// Dispatches `count` independent, placement-free cells as unpinned tasks
 /// on the shared TaskEngine: workers claim the next unclaimed cell index,

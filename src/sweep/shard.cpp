@@ -25,6 +25,32 @@ std::size_t parse_count(const char* env_name, const char* text) {
 
 }  // namespace
 
+std::string resume_path_from_env() {
+  const char* env = std::getenv(kResumeEnv);
+  return env != nullptr ? env : "";
+}
+
+std::vector<std::string> poisoned_cells_from_env(const std::string& sweep) {
+  std::vector<std::string> cells;
+  const char* env = std::getenv(kPoisonEnv);
+  if (env == nullptr) return cells;
+  // "sweep:cell,sweep:cell" — keep only this sweep's cells.
+  const std::string spec(env);
+  std::size_t pos = 0;
+  while (pos <= spec.size()) {
+    const std::size_t comma = spec.find(',', pos);
+    const std::string item = spec.substr(
+        pos, comma == std::string::npos ? std::string::npos : comma - pos);
+    const std::size_t colon = item.find(':');
+    if (colon != std::string::npos && item.compare(0, colon, sweep) == 0) {
+      cells.push_back(item.substr(colon + 1));
+    }
+    if (comma == std::string::npos) break;
+    pos = comma + 1;
+  }
+  return cells;
+}
+
 ShardPlan ShardPlan::from_env() {
   ShardPlan plan;
   if (const char* env = std::getenv(kShardsEnv);

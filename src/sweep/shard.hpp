@@ -1,9 +1,13 @@
 #pragma once
 
-/// Deterministic shard partitioning for scale-out sweep runs (DESIGN.md
-/// §9).
+/// The env contract a SweepRunner reads at construction (so tests can
+/// repoint it): the resume journal and cell poison (DESIGN.md §8), and
+/// deterministic shard partitioning for scale-out sweep runs (§9).
 ///
-/// Env contract (read at SweepRunner construction, so tests can repoint):
+///   AQUA_SWEEP_RESUME=<path> -> the runner's resume journal (a
+///     sweep/cache.hpp store): completed cells are served, not recomputed
+///   AQUA_FAULT_CELL=<sweep>:<cell>[,...] -> the named cells fail without
+///     computing (deterministic fault drills)
 ///   AQUA_SWEEP_SHARDS=N     -> the sweep is split across N workers
 ///   AQUA_SWEEP_SHARD_ID=k   -> this process is worker k (0-based)
 ///
@@ -18,8 +22,19 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
+#include <vector>
 
 namespace aqua::sweep {
+
+inline constexpr const char* kResumeEnv = "AQUA_SWEEP_RESUME";
+inline constexpr const char* kPoisonEnv = "AQUA_FAULT_CELL";
+
+/// AQUA_SWEEP_RESUME's path ("" when unset: no journal).
+std::string resume_path_from_env();
+
+/// The cells of `sweep` that AQUA_FAULT_CELL poisons (empty when unset).
+std::vector<std::string> poisoned_cells_from_env(const std::string& sweep);
 
 struct ShardPlan {
   static constexpr const char* kShardsEnv = "AQUA_SWEEP_SHARDS";

@@ -142,6 +142,12 @@ TEST(BenchCompareTest, ClassifiesMetricKinds) {
   EXPECT_EQ(classify_metric("cost_breakdown.cg_iterations"),
             MetricKind::kIgnored);
   EXPECT_EQ(classify_metric("cost_breakdown.cells"), MetricKind::kIgnored);
+  // Per-worker keys classify by their base name; steal counts depend on
+  // scheduling and do not gate.
+  EXPECT_EQ(classify_metric("wall_seconds_w8"), MetricKind::kTiming);
+  EXPECT_EQ(classify_metric("cells_per_sec_w4"), MetricKind::kRate);
+  EXPECT_EQ(classify_metric("identical_w2"), MetricKind::kWork);
+  EXPECT_EQ(classify_metric("steals_w4"), MetricKind::kIgnored);
 }
 
 TEST(BenchCompareTest, MedianAbsorbsOneOutlierRun) {

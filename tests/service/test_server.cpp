@@ -13,16 +13,17 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
-#include "resilience/journal.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
 #include "sweep/cache.hpp"
+#include "sweep/shard.hpp"
 
 namespace aqua::service {
 namespace {
@@ -50,8 +51,8 @@ class ScopedEnv {
 class ServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ::unsetenv(SweepJournal::kResumeEnv);
-    ::unsetenv(SweepJournal::kPoisonEnv);
+    ::unsetenv(sweep::kResumeEnv);
+    ::unsetenv(sweep::kPoisonEnv);
     sweep::SweepCache::instance().configure("");
   }
 
@@ -145,6 +146,33 @@ TEST_F(ServerTest, SubmitComputesThenServesSingleFlight) {
   EXPECT_EQ(stats.at("accepted"), 2.0);
   EXPECT_EQ(stats.at("computed"), 1.0);
   EXPECT_EQ(stats.at("single_flight_hits"), 1.0);
+}
+
+TEST_F(ServerTest, ResumeJournalNeverServesTheRunsOwnCells) {
+  // A freq_cap label leaves out threshold_c, so two requests that differ
+  // only there share a label. The journal serves what it loaded at
+  // startup, never a cell this daemon stored, so each gets its own values.
+  const std::string path =
+      std::string(::testing::TempDir()) + "/aqua_server_resume.jsonl";
+  std::remove(path.c_str());
+  ScopedEnv resume(sweep::kResumeEnv, path);
+  SweepServer& server = start({});
+  SweepClient client("127.0.0.1", server.port());
+
+  std::map<std::string, std::string> hot = cheap_cell(1);
+  hot["cooling"] = "air";
+  std::map<std::string, std::string> cool = hot;
+  cool["threshold_c"] = "40";
+  const CellResult first = client.submit("freq_cap", hot);
+  const CellResult second = client.submit("freq_cap", cool);
+  ASSERT_TRUE(first.ok()) << first.message;
+  ASSERT_TRUE(second.ok()) << second.message;
+  EXPECT_EQ(first.cell, second.cell);
+  EXPECT_EQ(first.source, "computed");
+  EXPECT_EQ(second.source, "computed");
+  EXPECT_NE(first.values, second.values);
+  EXPECT_EQ(server.stats_snapshot().at("journal_hits"), 0.0);
+  std::remove(path.c_str());
 }
 
 TEST_F(ServerTest, OverloadRejectsExplicitlyWhileControlStaysResponsive) {
@@ -358,7 +386,7 @@ TEST_F(ServerTest, ConnectDisconnectChurnLeavesNoDebris) {
 TEST_F(ServerTest, FigureDoneReportsFailedCells) {
   // One poisoned fig07 cell: its typed failure must show up in the
   // figure_done tally, not just in the per-connection counters.
-  ScopedEnv poison(SweepJournal::kPoisonEnv,
+  ScopedEnv poison(sweep::kPoisonEnv,
                    "service:chip=low_power_cmp;chips=1;cooling=air");
   ServerConfig config;
   config.workers = 4;

@@ -24,7 +24,6 @@
 
 #include "core/experiments.hpp"
 #include "power/chip_model.hpp"
-#include "resilience/journal.hpp"
 #include "sweep/cache.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/shard.hpp"
@@ -107,7 +106,7 @@ void exercise(const std::string& name, bool shard_phase,
     fs::remove(file);
     ScopedEnv shards(sweep::ShardPlan::kShardsEnv, std::to_string(kShards));
     ScopedEnv shard_id(sweep::ShardPlan::kShardIdEnv, std::to_string(k));
-    ScopedEnv journal(SweepJournal::kResumeEnv, file);
+    ScopedEnv journal(sweep::kResumeEnv, file);
     run();
     shard_files.push_back(file);
   }
@@ -116,7 +115,7 @@ void exercise(const std::string& name, bool shard_phase,
   fs::remove(merged);
   const std::size_t records = sweep::merge_journal_files(merged, shard_files);
   EXPECT_GT(records, 0u);
-  ScopedEnv journal(SweepJournal::kResumeEnv, merged);
+  ScopedEnv journal(sweep::kResumeEnv, merged);
   WorkProbe replay_probe;
   const std::string replayed = run();
   EXPECT_EQ(replayed, serial) << "merged-shard replay diverged from serial";

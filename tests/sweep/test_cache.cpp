@@ -1,21 +1,26 @@
-/// Negative-path tests for the content-addressed sweep cache (DESIGN.md
-/// §9): corrupt and truncated lines are skipped and recomputed, stale-salt
-/// files yield zero hits, and poisoned / fault-degraded cells are never
-/// persisted.
+/// Negative-path tests for the sweep cell store (DESIGN.md §8, §9), as the
+/// content cache and as a resume journal: corrupt and truncated lines are
+/// skipped and recomputed, stale-salt files yield zero hits, and poisoned /
+/// fault-degraded cells are never persisted.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
-#include "resilience/journal.hpp"
 #include "sweep/cache.hpp"
 #include "sweep/cells.hpp"
 #include "sweep/runner.hpp"
+#include "sweep/shard.hpp"
 
 namespace aqua::sweep {
 namespace {
@@ -33,13 +38,20 @@ class ScopedEnv {
   const char* name_;
 };
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
 /// Fresh cache directory per test; the process-wide cache is pointed at it
 /// and disabled again on teardown so tests cannot leak state.
 class SweepCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ::unsetenv(SweepJournal::kResumeEnv);
-    ::unsetenv(SweepJournal::kPoisonEnv);
+    ::unsetenv(sweep::kResumeEnv);
+    ::unsetenv(sweep::kPoisonEnv);
     ::unsetenv(ShardPlan::kShardsEnv);
     ::unsetenv(ShardPlan::kShardIdEnv);
     dir_ = std::string(::testing::TempDir()) + "/aqua_cache_" +
@@ -55,13 +67,6 @@ class SweepCacheTest : public ::testing::Test {
 
   /// Re-points the cache at the same directory, forcing a disk reload.
   void reload() { SweepCache::instance().configure(dir_); }
-
-  [[nodiscard]] static std::string read_file(const std::string& path) {
-    std::ifstream in(path);
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
-  }
 
   std::string dir_;
 };
@@ -218,7 +223,7 @@ TEST_F(SweepCacheTest, StaleSaltYieldsZeroHits) {
 
 TEST_F(SweepCacheTest, PoisonedCellIsNeverWrittenToTheCache) {
   const std::string cell = "chip=low_power;chips=4;htc=800.000000";
-  ScopedEnv poison(SweepJournal::kPoisonEnv, "cache_poison:" + cell);
+  ScopedEnv poison(sweep::kPoisonEnv, "cache_poison:" + cell);
 
   SweepRunner runner("cache_poison");
   const CellConfig config = htc_cell("low_power", 4, 800.0, {});
@@ -316,6 +321,152 @@ TEST_F(SweepCacheTest, PerSweepBreakdownSeparatesFamilies) {
   EXPECT_EQ(summary.per_sweep.at("htc"), 1u);
   EXPECT_EQ(summary.per_sweep.at("freq_cap"), 1u);
   EXPECT_EQ(summary.per_sweep.at("npb_des"), 1u);
+}
+
+// ------------------------------------------------------------- journal --
+// A resume journal is the same store, namespaced by sweep and keyed by
+// cell label; SweepRunner opens it on AQUA_SWEEP_RESUME.
+
+std::string temp_journal_path(const char* tag) {
+  return std::string(::testing::TempDir()) + "/aqua_journal_" + tag + ".jsonl";
+}
+
+/// A journal for `sweep` opened the way SweepRunner opens one.
+std::unique_ptr<SweepCache> journal_from_env(const std::string& sweep) {
+  auto journal = std::make_unique<SweepCache>(sweep);
+  journal->open(resume_path_from_env());
+  return journal;
+}
+
+bool poisoned(const std::string& sweep, const std::string& cell) {
+  const std::vector<std::string> cells = poisoned_cells_from_env(sweep);
+  return std::find(cells.begin(), cells.end(), cell) != cells.end();
+}
+
+TEST(SweepJournal, InactiveWithoutEnv) {
+  ::unsetenv(kResumeEnv);
+  ::unsetenv(kPoisonEnv);
+  const auto journal = journal_from_env("fig07");
+  EXPECT_FALSE(journal->enabled());
+  EXPECT_FALSE(journal->lookup("chips=1;cooling=air", nullptr));
+  EXPECT_FALSE(poisoned("fig07", "chips=1;cooling=air"));
+  // Recording without a journal path is a no-op, not an error.
+  journal->store("chips=1;cooling=air", {{"ghz", 2.0}});
+}
+
+TEST(SweepJournal, RoundTripServesOkCells) {
+  const std::string path = temp_journal_path("roundtrip");
+  std::remove(path.c_str());
+  ScopedEnv env(kResumeEnv, path);
+  {
+    const auto writer = journal_from_env("fig07");
+    ASSERT_TRUE(writer->enabled());
+    writer->store("chips=1;cooling=air", {{"ghz", 2.0}, {"feasible", 1.0}});
+    writer->store("chips=2;cooling=water", {{"ghz", 3.25}});
+    writer->store_failed("chips=3;cooling=air", "poisoned for test");
+  }
+  const auto reader = journal_from_env("fig07");
+  std::map<std::string, double> cell;
+  ASSERT_TRUE(reader->lookup("chips=1;cooling=air", &cell));
+  EXPECT_DOUBLE_EQ(cell.at("ghz"), 2.0);
+  EXPECT_DOUBLE_EQ(cell.at("feasible"), 1.0);
+  std::map<std::string, double> other;
+  ASSERT_TRUE(reader->lookup("chips=2;cooling=water", &other));
+  EXPECT_DOUBLE_EQ(other.at("ghz"), 3.25);
+  // Failed cells retry, they are never served.
+  EXPECT_FALSE(reader->lookup("chips=3;cooling=air", nullptr));
+  EXPECT_EQ(reader->stats().loaded, 2u);
+  std::remove(path.c_str());
+}
+
+TEST(SweepJournal, OtherSweepsRecordsAreIgnored) {
+  const std::string path = temp_journal_path("cross");
+  std::remove(path.c_str());
+  ScopedEnv env(kResumeEnv, path);
+  {
+    const auto writer = journal_from_env("fig07");
+    writer->store("chips=1;cooling=air", {{"ghz", 2.0}});
+  }
+  const auto reader = journal_from_env("npb");  // different sweep, same file
+  EXPECT_FALSE(reader->lookup("chips=1;cooling=air", nullptr));
+  EXPECT_EQ(reader->stats().loaded, 0u);
+  std::remove(path.c_str());
+}
+
+TEST(SweepJournal, PoisonSpecTargetsSweepAndCell) {
+  ScopedEnv env(kPoisonEnv,
+                "fig07:chips=2;cooling=water,npb:chips=1;bench=cg");
+  EXPECT_TRUE(poisoned("fig07", "chips=2;cooling=water"));
+  EXPECT_FALSE(poisoned("fig07", "chips=1;bench=cg"));
+  EXPECT_FALSE(poisoned("fig07", "chips=3;cooling=water"));
+  EXPECT_TRUE(poisoned("npb", "chips=1;bench=cg"));
+  EXPECT_FALSE(poisoned("npb", "chips=2;cooling=water"));
+}
+
+/// Runs `cell` through `runner`; `value` < 0 means the cell must not
+/// compute (it has to come from the journal).
+CellSource run_cell(SweepRunner& runner, double htc, const std::string& cell,
+                    double value) {
+  return runner.run(
+      htc_cell("low_power", 4, htc, {}), cell, {},
+      [value]() -> std::map<std::string, double> {
+        if (value < 0.0) throw std::runtime_error("must not recompute");
+        return {{"value", value}};
+      },
+      [](const std::map<std::string, double>&) {});
+}
+
+// A kill in the middle of an append leaves half a line at the tail. The
+// resume must serve the intact cells, count the torn line, and start the
+// next record on a line of its own.
+TEST(SweepJournal, TornTailResumesIntactCellsAndAppendsOnAFreshLine) {
+  ::unsetenv(kPoisonEnv);
+  SweepCache::instance().configure("");
+  const std::string path = temp_journal_path("torn_tail");
+  std::remove(path.c_str());
+  ScopedEnv env(kResumeEnv, path);
+  {
+    SweepRunner first("torn");
+    EXPECT_EQ(run_cell(first, 800.0, "cell-a", 1.0), CellSource::kComputed);
+    EXPECT_EQ(run_cell(first, 1600.0, "cell-b", 2.0), CellSource::kComputed);
+  }
+  std::ofstream(path, std::ios::app)
+      << R"({"kind": "sweep_cell", "salt": "aqua-sweep-v1", "hash": "01)";
+
+  SweepRunner resumed("torn");
+  EXPECT_EQ(run_cell(resumed, 800.0, "cell-a", -1.0), CellSource::kJournal);
+  EXPECT_EQ(run_cell(resumed, 1600.0, "cell-b", -1.0), CellSource::kJournal);
+  EXPECT_EQ(inspect_cache_file(path).bad_lines, 1u);
+  EXPECT_EQ(run_cell(resumed, 2400.0, "cell-c", 3.0), CellSource::kComputed);
+
+  SweepRunner reopened("torn");
+  EXPECT_EQ(run_cell(reopened, 2400.0, "cell-c", -1.0), CellSource::kJournal);
+  const CacheFileSummary summary = inspect_cache_file(path);
+  EXPECT_EQ(summary.records, 3u);
+  EXPECT_EQ(summary.bad_lines, 1u);
+  std::remove(path.c_str());
+}
+
+TEST(SweepJournal, EditedLabelFailsTheHashCheckAndRecomputes) {
+  ::unsetenv(kPoisonEnv);
+  SweepCache::instance().configure("");
+  const std::string path = temp_journal_path("edited_label");
+  std::remove(path.c_str());
+  ScopedEnv env(kResumeEnv, path);
+  {
+    SweepRunner first("edited");
+    EXPECT_EQ(run_cell(first, 800.0, "cell-a", 1.0), CellSource::kComputed);
+  }
+  std::string content = read_file(path);
+  const std::size_t pos = content.find("\"cell-a\"");
+  ASSERT_NE(pos, std::string::npos);
+  content.replace(pos, 8, "\"cell-z\"");
+  std::ofstream(path, std::ios::trunc) << content;
+
+  SweepRunner resumed("edited");
+  EXPECT_EQ(run_cell(resumed, 800.0, "cell-z", 1.0), CellSource::kComputed);
+  EXPECT_EQ(inspect_cache_file(path).bad_lines, 1u);
+  std::remove(path.c_str());
 }
 
 }  // namespace

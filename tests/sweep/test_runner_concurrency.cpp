@@ -18,10 +18,10 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "resilience/journal.hpp"
 #include "sweep/cache.hpp"
 #include "sweep/cell_key.hpp"
 #include "sweep/runner.hpp"
+#include "sweep/shard.hpp"
 #include "sweep/task_engine.hpp"
 
 namespace aqua::sweep {
@@ -68,8 +68,8 @@ void dispatch(std::size_t cells, const std::function<void(std::size_t)>& body) {
 }
 
 TEST(RunnerConcurrency, SingleFlightMemoComputesEachKeyExactlyOnce) {
-  ::unsetenv(SweepJournal::kResumeEnv);
-  ::unsetenv(SweepJournal::kPoisonEnv);
+  ::unsetenv(sweep::kResumeEnv);
+  ::unsetenv(sweep::kPoisonEnv);
   constexpr std::size_t kKeys = 3;
   constexpr std::size_t kDuplicates = 8;
   SweepRunner runner("stress");
@@ -107,8 +107,8 @@ TEST(RunnerConcurrency, SingleFlightMemoComputesEachKeyExactlyOnce) {
 }
 
 TEST(RunnerConcurrency, FailedLeaderIsRetriedAndNeverMemoized) {
-  ::unsetenv(SweepJournal::kResumeEnv);
-  ::unsetenv(SweepJournal::kPoisonEnv);
+  ::unsetenv(sweep::kResumeEnv);
+  ::unsetenv(sweep::kPoisonEnv);
   ScopedCacheDir cache("aqua_runner_failed_leader");
   constexpr std::size_t kDuplicates = 8;
   SweepRunner runner("stress");
@@ -138,10 +138,10 @@ TEST(RunnerConcurrency, FailedLeaderIsRetriedAndNeverMemoized) {
 }
 
 TEST(RunnerConcurrency, PoisonedCellsFailAndNeverTouchTheCache) {
-  ::unsetenv(SweepJournal::kResumeEnv);
+  ::unsetenv(sweep::kResumeEnv);
   ScopedCacheDir cache("aqua_runner_poison");
   constexpr std::size_t kCells = 8;
-  ::setenv(SweepJournal::kPoisonEnv, "stress:cell3", 1);
+  ::setenv(sweep::kPoisonEnv, "stress:cell3", 1);
   std::atomic<int> poisoned_computes{0};
   {
     SweepRunner runner("stress");
@@ -164,13 +164,13 @@ TEST(RunnerConcurrency, PoisonedCellsFailAndNeverTouchTheCache) {
   {
     // The reverse direction: a warm cache (cell 3 was computed by an
     // unpoisoned earlier run) must not mask the poison.
-    ::unsetenv(SweepJournal::kPoisonEnv);
+    ::unsetenv(sweep::kPoisonEnv);
     SweepRunner warm_runner("stress");
     warm_runner.run(
         stress_cell(3), "cell3", {},
         [] { return std::map<std::string, double>{{"value", 3.0}}; },
         [](const std::map<std::string, double>&) {});
-    ::setenv(SweepJournal::kPoisonEnv, "stress:cell3", 1);
+    ::setenv(sweep::kPoisonEnv, "stress:cell3", 1);
     SweepRunner poisoned_runner("stress");
     const CellSource src = poisoned_runner.run(
         stress_cell(3), "cell3", {},
@@ -180,12 +180,12 @@ TEST(RunnerConcurrency, PoisonedCellsFailAndNeverTouchTheCache) {
         });
     EXPECT_EQ(src, CellSource::kFailed);
   }
-  ::unsetenv(SweepJournal::kPoisonEnv);
+  ::unsetenv(sweep::kPoisonEnv);
 }
 
 TEST(RunnerConcurrency, FailingCellsStayIsolatedFromSiblings) {
-  ::unsetenv(SweepJournal::kResumeEnv);
-  ::unsetenv(SweepJournal::kPoisonEnv);
+  ::unsetenv(sweep::kResumeEnv);
+  ::unsetenv(sweep::kPoisonEnv);
   ScopedCacheDir cache("aqua_runner_isolation");
   constexpr std::size_t kCells = 32;
   SweepRunner runner("stress");
@@ -215,8 +215,8 @@ TEST(RunnerConcurrency, FailingCellsStayIsolatedFromSiblings) {
 }
 
 TEST(RunnerConcurrency, ConcurrentColdRunWarmsTheCacheForAFreshRunner) {
-  ::unsetenv(SweepJournal::kResumeEnv);
-  ::unsetenv(SweepJournal::kPoisonEnv);
+  ::unsetenv(sweep::kResumeEnv);
+  ::unsetenv(sweep::kPoisonEnv);
   ScopedCacheDir cache("aqua_runner_warm");
   constexpr std::size_t kCells = 24;
   std::atomic<int> computes{0};
@@ -250,8 +250,8 @@ TEST(RunnerConcurrency, ConcurrentColdRunWarmsTheCacheForAFreshRunner) {
 // ---------------------------------------------------------------------------
 
 TEST(RunnerCancellation, ExpiredDeadlineNeverStartsTheCompute) {
-  ::unsetenv(SweepJournal::kResumeEnv);
-  ::unsetenv(SweepJournal::kPoisonEnv);
+  ::unsetenv(sweep::kResumeEnv);
+  ::unsetenv(sweep::kPoisonEnv);
   SweepCache::instance().configure("");
   SweepRunner runner("cancel");
   int computed = 0;
@@ -273,8 +273,8 @@ TEST(RunnerCancellation, ExpiredDeadlineNeverStartsTheCompute) {
 }
 
 TEST(RunnerCancellation, CancelledResultIsNeverCachedAndRetriesClean) {
-  ::unsetenv(SweepJournal::kResumeEnv);
-  ::unsetenv(SweepJournal::kPoisonEnv);
+  ::unsetenv(sweep::kResumeEnv);
+  ::unsetenv(sweep::kPoisonEnv);
   ScopedCacheDir cache("aqua_runner_cancel_clean");
   SweepRunner runner("cancel");
   CancelToken token = CancelToken::cancellable();
@@ -309,8 +309,8 @@ TEST(RunnerCancellation, CancelledResultIsNeverCachedAndRetriesClean) {
 }
 
 TEST(RunnerCancellation, CancelledLeaderWakesWaitersRetryable) {
-  ::unsetenv(SweepJournal::kResumeEnv);
-  ::unsetenv(SweepJournal::kPoisonEnv);
+  ::unsetenv(sweep::kResumeEnv);
+  ::unsetenv(sweep::kPoisonEnv);
   SweepCache::instance().configure("");
   SweepRunner runner("cancel");
   CancelToken leader_token = CancelToken::cancellable();
@@ -363,8 +363,8 @@ TEST(RunnerCancellation, CancelledLeaderWakesWaitersRetryable) {
 }
 
 TEST(RunnerCancellation, MemoWaiterHonorsItsOwnDeadline) {
-  ::unsetenv(SweepJournal::kResumeEnv);
-  ::unsetenv(SweepJournal::kPoisonEnv);
+  ::unsetenv(sweep::kResumeEnv);
+  ::unsetenv(sweep::kPoisonEnv);
   SweepCache::instance().configure("");
   SweepRunner runner("cancel");
   std::atomic<bool> leader_started{false};
@@ -406,12 +406,12 @@ TEST(RunnerCancellation, MemoWaiterHonorsItsOwnDeadline) {
 }
 
 TEST(RunnerCancellation, InterruptFlagStopsNewCellsAndResumesBitIdentical) {
-  ::unsetenv(SweepJournal::kPoisonEnv);
+  ::unsetenv(sweep::kPoisonEnv);
   SweepCache::instance().configure("");
   const std::string journal =
       std::string(::testing::TempDir()) + "aqua_interrupt_resume.jsonl";
   std::filesystem::remove(journal);
-  ::setenv(SweepJournal::kResumeEnv, journal.c_str(), 1);
+  ::setenv(sweep::kResumeEnv, journal.c_str(), 1);
 
   const auto compute_value = [](std::size_t i) {
     return 100.0 + static_cast<double>(i) * 0.0625;
@@ -470,7 +470,7 @@ TEST(RunnerCancellation, InterruptFlagStopsNewCellsAndResumesBitIdentical) {
   for (const auto& [cell, value] : first_pass) {
     EXPECT_EQ(second_pass.at(cell), value) << cell;
   }
-  ::unsetenv(SweepJournal::kResumeEnv);
+  ::unsetenv(sweep::kResumeEnv);
   std::filesystem::remove(journal);
 }
 

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "resilience/journal.hpp"
 #include "sweep/cache.hpp"
 #include "sweep/cells.hpp"
 #include "sweep/runner.hpp"
@@ -36,8 +35,8 @@ class ScopedEnv {
 };
 
 void clear_sweep_env() {
-  ::unsetenv(SweepJournal::kResumeEnv);
-  ::unsetenv(SweepJournal::kPoisonEnv);
+  ::unsetenv(sweep::kResumeEnv);
+  ::unsetenv(sweep::kPoisonEnv);
   ::unsetenv(ShardPlan::kShardsEnv);
   ::unsetenv(ShardPlan::kShardIdEnv);
 }
@@ -170,7 +169,7 @@ TEST(SweepRunner, JournalOutranksEverything) {
   clear_sweep_env();
   const std::string path = temp_path("journal_first.jsonl");
   std::filesystem::remove(path);
-  ScopedEnv env(SweepJournal::kResumeEnv, path);
+  ScopedEnv env(sweep::kResumeEnv, path);
   const CellConfig config = htc_cell("low_power", 4, 800.0, {});
   {
     SweepRunner first("runner_journal");
@@ -201,7 +200,7 @@ TEST(SweepRunner, CacheHitIsReJournaled) {
   const CellConfig config = htc_cell("low_power", 4, 800.0, {});
   SweepCache::instance().store(config, {{"value", 17.0}});
   {
-    ScopedEnv env(SweepJournal::kResumeEnv, journal);
+    ScopedEnv env(sweep::kResumeEnv, journal);
     SweepRunner runner("runner_rejournal");
     int computed = 0;
     EXPECT_EQ(runner.run(config, "cell-a", {},
@@ -295,7 +294,7 @@ TEST(JournalMerge, ShardedJournalsReassembleTheFullTable) {
     const std::string path = temp_path("shard" + std::to_string(k) + ".jsonl");
     std::filesystem::remove(path);
     shard_files.push_back(path);
-    ScopedEnv env(SweepJournal::kResumeEnv, path);
+    ScopedEnv env(sweep::kResumeEnv, path);
     ScopedEnv shards(ShardPlan::kShardsEnv, "3");
     ScopedEnv id(ShardPlan::kShardIdEnv, std::to_string(k));
     SweepRunner runner("merge_sweep");
@@ -318,7 +317,7 @@ TEST(JournalMerge, ShardedJournalsReassembleTheFullTable) {
 
   // Replay from the merged journal with sharding off: every cell is a
   // journal hit and the values match the shard passes exactly.
-  ScopedEnv env(SweepJournal::kResumeEnv, merged);
+  ScopedEnv env(sweep::kResumeEnv, merged);
   SweepRunner replay("merge_sweep");
   std::map<std::string, double> resumed;
   for (const CellConfig& cell : cells) {
