@@ -58,7 +58,7 @@ int run_microbenchmarks(int argc, char** argv);
 /// should skip files with a newer version than they understand.
 /// History: 1 = flat key map (implicit, unversioned); 2 = adds
 /// schema_version + git provenance; 3 = adds the sweep_* provenance keys
-/// (cells, journal resumes, cache hits, dedupes, shard holes, failures);
+/// (cells, journal resumes, cache hits, dedupes, failures);
 /// 4 = adds the nested "cost_breakdown" object (per-phase wall times and
 /// solver/DES work from the sweep cost ledger, DESIGN.md §11).
 inline constexpr int kSchemaVersion = 4;
@@ -89,12 +89,11 @@ class JsonReport {
   JsonReport& add_stats(const std::string& prefix, const SolverStats& stats);
 
   /// Expands a sweep's cell-provenance counters into `sweep_cells`,
-  /// `sweep_resumed`, `sweep_cache_hits`, `sweep_deduped`,
-  /// `sweep_shard_skipped` and `sweep_failed` (schema_version 3) — the
-  /// numbers the CI warm-cache gate reads back from BENCH_*.json.
+  /// `sweep_resumed`, `sweep_cache_hits`, `sweep_deduped` and
+  /// `sweep_failed` (schema_version 3) — the numbers the CI warm-cache
+  /// gate reads back from BENCH_*.json.
   JsonReport& add_sweep_provenance(std::size_t cells, std::size_t resumed,
                                    std::size_t cached, std::size_t deduped,
-                                   std::size_t shard_skipped,
                                    std::size_t failed);
 
   /// Writes the sweep cost ledger as the nested "cost_breakdown" object

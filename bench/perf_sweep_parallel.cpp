@@ -6,7 +6,7 @@
 /// tasks.
 ///
 /// Emits BENCH_sweep_parallel.json (schema v4). AQUA_NPB_SCALE scales the
-/// DES portion as usual; the sweep cache/journal/shard env is cleared so
+/// DES portion as usual; the sweep cache/journal env is cleared so
 /// every run is a cold compute (warm runs would void the scaling numbers).
 
 #include <chrono>
@@ -20,7 +20,7 @@
 #include "power/chip_model.hpp"
 #include "sweep/cache.hpp"
 #include "sweep/cell_key.hpp"
-#include "sweep/shard.hpp"
+#include "sweep/runner.hpp"
 #include "sweep/task_engine.hpp"
 
 namespace {
@@ -136,8 +136,6 @@ int main(int argc, char** argv) {
   ::unsetenv(aqua::sweep::SweepCache::kEnv);
   ::unsetenv(aqua::sweep::kResumeEnv);
   ::unsetenv(aqua::sweep::kPoisonEnv);
-  ::unsetenv(aqua::sweep::ShardPlan::kShardsEnv);
-  ::unsetenv(aqua::sweep::ShardPlan::kShardIdEnv);
   aqua::sweep::SweepCache::instance().configure("");
 
   aqua::bench::JsonReport report("sweep_parallel");

@@ -44,11 +44,11 @@ for bin in "${!BENCHES[@]}"; do
     echo "[$name] run $i/$RUNS"
     (
       cd "$WORK"
-      # Cold, serial-independent runs: no cache/journal/shard reuse, and
+      # Cold, serial-independent runs: no cache/journal reuse, and
       # the shortest microbench budget (tables and counters don't depend
       # on it).
       env -u AQUA_SWEEP_CACHE -u AQUA_SWEEP_RESUME -u AQUA_FAULT_CELL \
-          -u AQUA_SWEEP_SHARDS -u AQUA_SWEEP_SHARD_ID -u AQUA_TRACE \
+          -u AQUA_TRACE \
           "$BUILD/$bin" --benchmark_min_time=0.01 > /dev/null
     )
     mv "$WORK/BENCH_$name.json" "$OUT/$name/run$i.json"

@@ -24,7 +24,7 @@
 #include "perf/system.hpp"
 #include "power/chip_model.hpp"
 #include "resilience/schedule.hpp"
-#include "sweep/shard.hpp"
+#include "sweep/runner.hpp"
 
 namespace {
 

@@ -123,8 +123,8 @@ FreqVsChipsData frequency_vs_chips(const ChipModel& chip,
   // the hierarchy locally, costing work, never correctness: rendered
   // frequencies are VFS-ladder-quantized, so a stolen cell's fresh solve
   // chain cannot move the table). The finder is built lazily inside the
-  // compute, so cells served from the journal, cache, or another shard
-  // never assemble a thermal model.
+  // compute, so cells served from the journal or the cache never assemble
+  // a thermal model.
   std::vector<sweep::TaskEngine::Task> tasks;
   tasks.reserve(max_chips * options.size());
   for (std::size_t c = 0; c < max_chips; ++c) {
@@ -169,7 +169,6 @@ FreqVsChipsData frequency_vs_chips(const ChipModel& chip,
   const sweep::SweepRunner::Stats st = runner.stats();
   data.resumed_cells = st.journal_hits;
   data.cached_cells = st.cache_hits;
-  data.shard_skipped = st.shard_skipped;
   data.cost = runner.cost();
   std::sort(data.failed_cells.begin(), data.failed_cells.end());
   // Sweep-wide solver totals come from the process-wide registry counters
@@ -221,11 +220,11 @@ NpbData npb_experiment(const ChipModel& chip, std::size_t chips,
   std::atomic<std::uint64_t> cores_failed{0};
   data.degraded = !faults.empty();
 
-  // Thermal caps: every shard needs all four caps as inputs to its own DES
-  // cells, so cap cells are never sharded. They go through the same runner
-  // as everything else, which is exactly what makes them journal-resumable
-  // and — because freq_cap_cell is the same key family the Fig. 7/8 sweeps
-  // use — warm-servable from a cache those sweeps filled. The cap cells
+  // Thermal caps: the DES cells need all four caps as inputs. They go
+  // through the same runner as everything else, which is exactly what
+  // makes them journal-resumable and — because freq_cap_cell is the same
+  // key family the Fig. 7/8 sweeps use — warm-servable from a cache or a
+  // journal those sweeps filled. The cap cells
   // run as a strict same-affinity chain: one home worker, submission
   // order, never stolen, all four sharing one worker-local finder — the
   // rendered max_temperature_c comes from warm-started solves, so the
@@ -234,8 +233,6 @@ NpbData npb_experiment(const ChipModel& chip, std::size_t chips,
   // warm run never assembles a thermal model. A cap failure aborts the
   // experiment (there is no table without the caps).
   {
-    sweep::CellPolicy cap_policy;
-    cap_policy.shardable = false;
     data.caps.resize(data.coolings.size());
     std::vector<std::string> cap_failures(data.coolings.size());
     std::vector<sweep::TaskEngine::Task> cap_tasks;
@@ -252,7 +249,7 @@ NpbData npb_experiment(const ChipModel& chip, std::size_t chips,
         const sweep::CellConfig config = sweep::freq_cap_cell(
             data.chip_name, chips, option.name(), threshold_c, grid);
         const sweep::CellSource src = runner.run(
-            config, cell, cap_policy,
+            config, cell, {},
             [&] {
               MaxFrequencyFinder& finder =
                   ctx.local<MaxFrequencyFinder>(0, [&] {
@@ -291,9 +288,9 @@ NpbData npb_experiment(const ChipModel& chip, std::size_t chips,
     data.rows[b].relative.resize(data.coolings.size());
   }
 
-  // A fault-degraded run's plan is not part of the key, so it must never
-  // be persisted; the in-process memo still dedupes it (the same plan is
-  // injected into every cell of this run).
+  // A fault-degraded run's plan is not part of the key (only `faulted`
+  // is), so it must never be persisted; the in-process memo still dedupes
+  // it (the same plan is injected into every cell of this run).
   sweep::CellPolicy des_policy;
   des_policy.cacheable = faults.empty();
 
@@ -302,9 +299,7 @@ NpbData npb_experiment(const ChipModel& chip, std::size_t chips,
   // other work. The key omits cooling, so two options capping at the same
   // frequency collide on purpose — the runner's single-flight memo makes
   // whichever slot arrives first the leader and serves concurrent
-  // duplicates as memo hits, computing each unique key exactly once. Each
-  // slot keeps its own journal record, so kill/resume and shard merges
-  // stay per-table-slot.
+  // duplicates as memo hits, computing each unique key exactly once.
   std::vector<sweep::TaskEngine::Task> des_tasks;
   des_tasks.reserve(suite.size() * data.coolings.size());
   for (std::size_t b = 0; b < suite.size(); ++b) {
@@ -352,7 +347,6 @@ NpbData npb_experiment(const ChipModel& chip, std::size_t chips,
   data.resumed_cells = st.journal_hits;
   data.cached_cells = st.cache_hits;
   data.deduped_cells = st.memo_hits;
-  data.shard_skipped = st.shard_skipped;
   data.cost = runner.cost();
   data.cores_failed = cores_failed.load();
   std::sort(data.failed_cells.begin(), data.failed_cells.end());
@@ -441,7 +435,6 @@ std::vector<HtcSweepPoint> htc_sweep(const ChipModel& chip, std::size_t chips,
           if (temp != values.end()) points[i].temperature_c = temp->second;
         });
     if (src == sweep::CellSource::kFailed) points[i].failed = true;
-    if (src == sweep::CellSource::kShardSkipped) points[i].skipped = true;
   });
   report_experiment("htc_sweep", start, solver_totals_since(before));
   runner.emit_report();
@@ -488,7 +481,6 @@ std::vector<RotationPoint> rotation_sweep(const ChipModel& chip,
           }
         });
     if (src == sweep::CellSource::kFailed) points[i].failed = true;
-    if (src == sweep::CellSource::kShardSkipped) points[i].skipped = true;
   });
   report_experiment("rotation_sweep", start, solver_totals_since(before));
   runner.emit_report();

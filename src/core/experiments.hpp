@@ -39,7 +39,7 @@ struct FreqVsChipsData {
   /// Aggregated linear-solver counters over the whole sweep (every finder,
   /// every bisection step) — what the benches print and emit as JSON.
   SolverStats solver;
-  /// Cells that threw and were isolated (journal cell keys, e.g.
+  /// Cells that threw and were isolated (cell labels, e.g.
   /// "chip=low_power_cmp;chips=3;cooling=water"); their table entries stay
   /// empty. An aborted cell never aborts the sweep.
   std::vector<std::string> failed_cells;
@@ -47,8 +47,6 @@ struct FreqVsChipsData {
   std::size_t resumed_cells = 0;
   /// Cells served warm from the AQUA_SWEEP_CACHE content cache.
   std::size_t cached_cells = 0;
-  /// Cells owned by another shard (AQUA_SWEEP_SHARDS) and left as holes.
-  std::size_t shard_skipped = 0;
   /// Per-phase cost ledger aggregated over every sweep cell (DESIGN.md
   /// §11); the benches publish it as BENCH_*.json `cost_breakdown`.
   sweep::CostBreakdown cost;
@@ -102,8 +100,6 @@ struct NpbData {
   /// DES cells deduped in-process onto another cooling option's identical
   /// run (cooling options capping at the same frequency share one DES run).
   std::size_t deduped_cells = 0;
-  /// DES cells owned by another shard and left as holes.
-  std::size_t shard_skipped = 0;
   /// True when a non-empty fault plan was injected into the DES runs.
   bool degraded = false;
   std::uint64_t cores_failed = 0;   ///< per-run plan losses (one run's worth)
@@ -136,7 +132,6 @@ struct HtcSweepPoint {
   double htc;           ///< W/(m^2 K) applied to both wetted paths
   double temperature_c; ///< peak die temperature at max frequency
   bool failed = false;  ///< the cell threw and was isolated
-  bool skipped = false; ///< owned by another shard (AQUA_SWEEP_SHARDS)
 };
 
 /// Sweeps the coolant coefficient for a `chips`-high stack at the chip's
@@ -155,7 +150,6 @@ struct RotationPoint {
   double temperature_no_flip_c;
   double temperature_flip_c;
   bool failed = false;  ///< the cell threw and was isolated
-  bool skipped = false; ///< owned by another shard (AQUA_SWEEP_SHARDS)
 };
 
 /// Temperature vs. frequency with and without 180-degree rotation of even

@@ -32,23 +32,10 @@ struct SweepCache::Metrics {
 
 namespace {
 
-const char* kind_of(const std::string& sweep) {
-  return sweep.empty() ? "sweep_cache" : "sweep_cell";
-}
-
-/// FNV-1a over salt, 0x1f, [sweep, 0x1f,] key: for a cache record (no
-/// sweep) this is exactly CellConfig::hash() of the canonical key.
-std::string record_hash(const std::string& sweep, const std::string& key) {
-  const std::string_view sep("\x1f", 1);
-  std::uint64_t h = fnv1a64(sep, fnv1a64(kCellKeySalt));
-  if (!sweep.empty()) h = fnv1a64(sep, fnv1a64(sweep, h));
-  return to_hex16(fnv1a64(key, h));
-}
+constexpr const char* kKind = "sweep_cache";
 
 /// One valid record as the loader hands it out.
 struct Record {
-  std::string_view line;
-  std::string sweep;  ///< "" for content-cache records
   std::string key;
   bool ok = true;
   std::map<std::string, double> values;
@@ -58,16 +45,21 @@ bool is_string(const obs::JsonValue* v) {
   return v != nullptr && v->kind == obs::JsonValue::Kind::kString;
 }
 
+/// FNV-1a over salt, 0x1f, key: CellConfig::hash() of the canonical key.
+std::string record_hash(const std::string& key) {
+  const std::string_view sep("\x1f", 1);
+  return to_hex16(fnv1a64(key, fnv1a64(sep, fnv1a64(kCellKeySalt))));
+}
+
 /// Encodes one record line (with its newline); values use the "v_" prefix.
-std::string encode_record(const std::string& sweep, const std::string& key,
+std::string encode_record(const std::string& key,
                           const std::map<std::string, double>* values,
                           const std::string* error) {
   obs::JsonWriter w;
-  w.add("kind", kind_of(sweep))
+  w.add("kind", kKind)
       .add("salt", kCellKeySalt)
-      .add("hash", record_hash(sweep, key));
-  if (!sweep.empty()) w.add("sweep", sweep);
-  w.add("cell", key);
+      .add("hash", record_hash(key))
+      .add("cell", key);
   if (error != nullptr) w.add("status", "failed").add("error", *error);
   if (values != nullptr) {
     for (const auto& [name, value] : *values) w.add("v_" + name, value);
@@ -109,14 +101,13 @@ CacheFileSummary scan_file(const std::string& path, const Accept& accept) {
     const obs::JsonValue* kind = doc.find("kind");
     const obs::JsonValue* salt = doc.find("salt");
     const obs::JsonValue* hash = doc.find("hash");
-    const obs::JsonValue* sweep = doc.find("sweep");
     const obs::JsonValue* cell = doc.find("cell");
     const obs::JsonValue* status = doc.find("status");
-    Record rec;
-    rec.sweep = is_string(sweep) ? sweep->string : std::string();
-    if (!is_string(kind) || kind->string != kind_of(rec.sweep) ||
-        !is_string(salt) || !is_string(hash) || !is_string(cell) ||
-        (sweep != nullptr && !is_string(sweep)) ||
+    // The one record shape has no "sweep" field; the retired label-keyed
+    // journal records had one, and their hash does not cover the key alone.
+    if (!is_string(kind) || kind->string != kKind || !is_string(salt) ||
+        !is_string(hash) || !is_string(cell) ||
+        doc.find("sweep") != nullptr ||
         (status != nullptr &&
          !(is_string(status) && status->string == "failed"))) {
       ++summary.bad_lines;
@@ -127,13 +118,13 @@ CacheFileSummary scan_file(const std::string& path, const Accept& accept) {
       continue;
     }
     // Content addressing doubles as an integrity check: a record whose
-    // stored hash does not reproduce from its sweep and key was truncated
-    // or edited, and is recomputed rather than trusted.
-    if (hash->string != record_hash(rec.sweep, cell->string)) {
+    // stored hash does not reproduce from its key was truncated or
+    // edited, and is recomputed rather than trusted.
+    if (hash->string != record_hash(cell->string)) {
       ++summary.bad_lines;
       continue;
     }
-    rec.line = line;
+    Record rec;
     rec.key = cell->string;
     rec.ok = status == nullptr;
     for (const auto& [name, value] : doc.object) {
@@ -143,8 +134,7 @@ CacheFileSummary scan_file(const std::string& path, const Accept& accept) {
       }
     }
     ++summary.records;
-    ++summary.per_sweep[rec.sweep.empty() ? sweep_field_of(rec.key)
-                                          : rec.sweep];
+    ++summary.per_sweep[sweep_field_of(rec.key)];
     accept(std::move(rec));
   }
   return summary;
@@ -181,6 +171,7 @@ void append_line(std::ofstream& out, std::string_view line) {
 SweepCache& SweepCache::instance() {
   static SweepCache* cache = [] {
     auto* c = new SweepCache();
+    c->metrics_ = &Metrics::instance();
     if (const char* env = std::getenv(kEnv); env != nullptr && env[0] != '\0') {
       c->configure(env);
     }
@@ -188,11 +179,6 @@ SweepCache& SweepCache::instance() {
   }();
   return *cache;
 }
-
-// A content-cache key is the whole canonical cell, so a stored cell is
-// safe to serve back; a journal label is not (see cache.hpp).
-SweepCache::SweepCache(std::string sweep)
-    : sweep_(std::move(sweep)), serves_stores_(sweep_.empty()) {}
 
 void SweepCache::configure(const std::string& dir) {
   if (dir.empty()) {
@@ -209,20 +195,16 @@ void SweepCache::open(const std::string& path) {
   entries_.clear();
   stats_ = Stats{};
   path_ = path;
-  metrics_ = nullptr;
   if (path_.empty()) return;
   const CacheFileSummary summary = scan_file(path_, [&](Record&& rec) {
-    // Another sweep's records, and failed cells (which always retry), are
-    // not served. Duplicate records: last wins.
-    if (rec.sweep != sweep_ || !rec.ok) return;
-    entries_[std::move(rec.key)] = std::move(rec.values);
+    // Failed cells always retry, so they are not served. Duplicate
+    // records: last wins.
+    if (rec.ok) entries_[std::move(rec.key)] = std::move(rec.values);
   });
   stats_.loaded = entries_.size();
   stats_.bad_lines = summary.bad_lines;
   stats_.stale_salt = summary.stale_salt;
-  // Only the content cache feeds the registry; a journal counts in stats_.
-  if (sweep_.empty()) {
-    metrics_ = &Metrics::instance();
+  if (metrics_ != nullptr) {
     metrics_->bad_lines.add(summary.bad_lines);
     metrics_->stale.add(summary.stale_salt);
   }
@@ -254,15 +236,15 @@ void SweepCache::store(const std::string& key,
                        const std::map<std::string, double>& values) {
   std::lock_guard lock(mutex_);
   if (path_.empty() || entries_.count(key) != 0) return;
-  append(encode_record(sweep_, key, &values, nullptr));
-  if (serves_stores_) entries_.emplace(key, values);
+  append(encode_record(key, &values, nullptr));
+  entries_.emplace(key, values);
 }
 
 void SweepCache::store_failed(const std::string& key,
                               const std::string& error) {
   std::lock_guard lock(mutex_);
   if (path_.empty()) return;
-  append(encode_record(sweep_, key, nullptr, &error));
+  append(encode_record(key, nullptr, &error));
 }
 
 void SweepCache::append(const std::string& line) {
@@ -285,30 +267,12 @@ SweepCache::Stats SweepCache::stats() const {
 }
 
 CacheFileSummary inspect_cache_file(const std::string& path) {
-  std::map<std::string, bool> ok_by_key;  // sweep 0x1f key -> ok
-  CacheFileSummary summary = scan_file(path, [&](Record&& rec) {
-    ok_by_key[rec.sweep + '\x1f' + rec.key] |= rec.ok;
-  });
+  std::map<std::string, bool> ok_by_key;
+  CacheFileSummary summary = scan_file(
+      path, [&](Record&& rec) { ok_by_key[rec.key] |= rec.ok; });
   summary.entries = ok_by_key.size();
   for (const auto& [key, ok] : ok_by_key) summary.failed += !ok;
   return summary;
-}
-
-std::size_t merge_journal_files(const std::string& out_path,
-                                const std::vector<std::string>& inputs) {
-  std::ofstream out;
-  open_append(out, out_path);
-  std::size_t written = 0;
-  for (const std::string& input : inputs) {
-    // A shard that never wrote is fine: a missing file scans empty.
-    scan_file(input, [&](Record&& rec) {
-      if (rec.sweep.empty()) return;  // cache records are not journal lines
-      append_line(out, std::string(rec.line) + '\n');
-      ++written;
-    });
-  }
-  ensure(out.good(), "failed writing merged journal: " + out_path);
-  return written;
 }
 
 }  // namespace aqua::sweep

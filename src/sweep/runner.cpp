@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 
 #include "obs/json_writer.hpp"
 #include "obs/metrics.hpp"
@@ -38,13 +39,38 @@ WorkCounters& work_counters() {
 
 }  // namespace
 
+std::string resume_path_from_env() {
+  const char* env = std::getenv(kResumeEnv);
+  return env != nullptr ? env : "";
+}
+
+std::vector<std::string> poisoned_cells_from_env(const std::string& sweep) {
+  std::vector<std::string> cells;
+  const char* env = std::getenv(kPoisonEnv);
+  if (env == nullptr) return cells;
+  // "sweep:cell,sweep:cell" — keep only this sweep's cells.
+  const std::string spec(env);
+  std::size_t pos = 0;
+  while (pos <= spec.size()) {
+    const std::size_t comma = spec.find(',', pos);
+    const std::string item = spec.substr(
+        pos, comma == std::string::npos ? std::string::npos : comma - pos);
+    const std::size_t colon = item.find(':');
+    if (colon != std::string::npos && item.compare(0, colon, sweep) == 0) {
+      cells.push_back(item.substr(colon + 1));
+    }
+    if (comma == std::string::npos) break;
+    pos = comma + 1;
+  }
+  return cells;
+}
+
 const char* to_string(CellSource source) {
   switch (source) {
     case CellSource::kComputed: return "computed";
     case CellSource::kJournal: return "journal";
     case CellSource::kMemo: return "memo";
     case CellSource::kCache: return "cache";
-    case CellSource::kShardSkipped: return "shard_skipped";
     case CellSource::kFailed: return "failed";
     case CellSource::kCancelled: return "cancelled";
   }
@@ -52,10 +78,7 @@ const char* to_string(CellSource source) {
 }
 
 SweepRunner::SweepRunner(std::string sweep)
-    : sweep_(std::move(sweep)),
-      journal_(sweep_),
-      poisons_(poisoned_cells_from_env(sweep_)),
-      shard_(ShardPlan::from_env()) {
+    : sweep_(std::move(sweep)), poisons_(poisoned_cells_from_env(sweep_)) {
   journal_.open(resume_path_from_env());
 }
 
@@ -87,11 +110,17 @@ CellSource SweepRunner::run(
     return record_cancelled();
   }
 
+  // The canonical key is the cell's one identity in the journal, the memo
+  // and the cache; the label only names it in reports and poison specs.
+  const auto key_start = SteadyClock::now();
+  const std::string canonical = config.canonical();
+  cost.key_us += us_since(key_start);
+
   // 1. Journal resume: a previously completed cell is served verbatim.
   {
     const auto t0 = SteadyClock::now();
     std::map<std::string, double> values;
-    const bool hit = journal_.lookup(cell, &values);
+    const bool hit = journal_.lookup(canonical, &values);
     cost.journal_us += us_since(t0);
     if (hit) {
       const auto t1 = SteadyClock::now();
@@ -108,17 +137,13 @@ CellSource SweepRunner::run(
   // poisoned cell must never reach the cache (in either direction).
   if (std::find(poisons_.begin(), poisons_.end(), cell) != poisons_.end()) {
     const auto t0 = SteadyClock::now();
-    record_failed(cell,
+    record_failed(canonical, cell,
                   std::string("cell poisoned by ") + kPoisonEnv + ": " + cell);
     cost.serialize_us += us_since(t0);
     cache.count_skip();
     failed_.fetch_add(1, std::memory_order_relaxed);
     return finish(CellSource::kFailed);
   }
-
-  const auto key_start = SteadyClock::now();
-  const std::string canonical = config.canonical();
-  cost.key_us += us_since(key_start);
 
   // 3. In-process memo, single-flight: the first cell to reach a canonical
   // key becomes its leader and carries on down the precedence chain;
@@ -154,8 +179,7 @@ CellSource SweepRunner::run(
       waiting->cv.wait_until(lock, slice);
     }
     if (waiting->abandoned) {
-      continue;  // leader failed, was cancelled, or was shard-skipped:
-                 // retry as leader
+      continue;  // leader failed or was cancelled: retry as leader
     }
     const std::map<std::string, double> values = waiting->values;
     lock.unlock();
@@ -163,16 +187,13 @@ CellSource SweepRunner::run(
     const auto t0 = SteadyClock::now();
     apply(values);
     cost.apply_us += us_since(t0);
-    const auto t1 = SteadyClock::now();
-    journal_.store(cell, values);
-    cost.serialize_us += us_since(t1);
     memo_hits_.fetch_add(1, std::memory_order_relaxed);
     return finish(CellSource::kMemo);
   }
   cost.memo_us += us_since(memo_start);
 
   // The leader abandons the entry on every non-publishing exit so waiters
-  // re-enter the chain with their own cell's policy and journal identity.
+  // re-enter the chain with their own cell's policy and token.
   const auto abandon = [&] {
     std::lock_guard lock(memo_mutex_);
     entry->abandoned = true;
@@ -186,32 +207,20 @@ CellSource SweepRunner::run(
     entry->cv.notify_all();
   };
 
-  // 4. Content-addressed cache: warm cells skip the compute entirely. The
-  // values are re-journaled under this sweep's cell name so a shard
-  // journal merge sees cache-served cells too.
+  // 4. Content-addressed cache: warm cells skip the compute entirely.
   if (policy.cacheable) {
     const auto t0 = SteadyClock::now();
     std::map<std::string, double> values;
-    const bool hit = cache.lookup(config, &values);
+    const bool hit = cache.lookup(canonical, &values);
     cost.cache_us += us_since(t0);
     if (hit) {
       publish(values);
       const auto t1 = SteadyClock::now();
       apply(values);
       cost.apply_us += us_since(t1);
-      const auto t2 = SteadyClock::now();
-      journal_.store(cell, values);
-      cost.serialize_us += us_since(t2);
       cache_hits_.fetch_add(1, std::memory_order_relaxed);
       return finish(CellSource::kCache);
     }
-  }
-
-  // 5. Shard partition: cells owned by other shards are left as holes.
-  if (policy.shardable && shard_.active() && !shard_.owns(config.hash())) {
-    abandon();
-    shard_skipped_.fetch_add(1, std::memory_order_relaxed);
-    return finish(CellSource::kShardSkipped);
   }
 
   // Last pre-compute cancellation gate: the solve is the expensive part,
@@ -222,7 +231,7 @@ CellSource SweepRunner::run(
     return record_cancelled();
   }
 
-  // 6. Compute, isolate-and-continue. Failed cells are never memoized (a
+  // 5. Compute, isolate-and-continue. Failed cells are never memoized (a
   // later identical cell retries, matching the serial semantics) and never
   // cached. The work counters around the compute attribute solver wall /
   // CG iterations / V-cycles / DES events to this cell (exact in serial
@@ -240,7 +249,7 @@ CellSource SweepRunner::run(
     cost.compute_us += us_since(compute_start);
     abandon();
     const auto t0 = SteadyClock::now();
-    record_failed(cell, e.what());
+    record_failed(canonical, cell, e.what());
     cost.serialize_us += us_since(t0);
     failed_.fetch_add(1, std::memory_order_relaxed);
     return finish(CellSource::kFailed);
@@ -253,9 +262,9 @@ CellSource SweepRunner::run(
   cost.des_events += work.des_events.value() - events_before;
 
   // A leader cancelled mid-compute discards its values: nothing is
-  // journaled, cached, or published (satellite 2's abandoned-leader
-  // contract — waiters wake with a retryable abandon, not a phantom
-  // result from a request whose client already gave up).
+  // journaled, cached, or published (the abandoned-leader contract —
+  // waiters wake with a retryable abandon, not a phantom result from a
+  // request whose client already gave up).
   if (token.cancelled()) {
     abandon();
     return record_cancelled();
@@ -266,9 +275,9 @@ CellSource SweepRunner::run(
   apply(values);
   cost.apply_us += us_since(apply_start);
   const auto serialize_start = SteadyClock::now();
-  journal_.store(cell, values);
   if (policy.cacheable) {
-    cache.store(config, values);
+    journal_.store(canonical, values);
+    cache.store(canonical, values);
   } else {
     cache.count_skip();
   }
@@ -304,9 +313,10 @@ void SweepRunner::record_cost(const std::string& cell, CellSource source,
   });
 }
 
-void SweepRunner::record_failed(const std::string& cell,
+void SweepRunner::record_failed(const std::string& key,
+                                const std::string& cell,
                                 const std::string& error) {
-  journal_.store_failed(cell, error);
+  journal_.store_failed(key, error);
   obs::RunReport& report = obs::RunReport::instance();
   if (!report.enabled()) return;
   report.emit("degraded_result", [&](obs::JsonWriter& w) {
@@ -329,7 +339,6 @@ SweepRunner::Stats SweepRunner::stats() const {
   s.journal_hits = journal_hits_.load(std::memory_order_relaxed);
   s.memo_hits = memo_hits_.load(std::memory_order_relaxed);
   s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  s.shard_skipped = shard_skipped_.load(std::memory_order_relaxed);
   s.failed = failed_.load(std::memory_order_relaxed);
   s.cancelled = cancelled_.load(std::memory_order_relaxed);
   return s;
@@ -347,11 +356,8 @@ void SweepRunner::emit_report() const {
         .add("journal_hits", static_cast<std::uint64_t>(s.journal_hits))
         .add("memo_hits", static_cast<std::uint64_t>(s.memo_hits))
         .add("cache_hits", static_cast<std::uint64_t>(s.cache_hits))
-        .add("shard_skipped", static_cast<std::uint64_t>(s.shard_skipped))
         .add("failed", static_cast<std::uint64_t>(s.failed))
         .add("cancelled", static_cast<std::uint64_t>(s.cancelled))
-        .add("shards", static_cast<std::uint64_t>(shard_.shards))
-        .add("shard_id", static_cast<std::uint64_t>(shard_.id))
         .add("cache_enabled", SweepCache::instance().enabled())
         .add("cache_stores", c.stores)
         .add("cache_skips", c.skips);

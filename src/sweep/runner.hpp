@@ -1,12 +1,13 @@
 #pragma once
 
 /// SweepRunner: the one code path every Fig. 7-13 sweep cell goes through
-/// (DESIGN.md §9). It composes, in fixed precedence order:
+/// (DESIGN.md §9). A cell has one identity, its canonical CellConfig key;
+/// the `cell` label only names it in reports and in AQUA_FAULT_CELL. The
+/// runner composes, in fixed precedence order:
 ///
 ///   1. journal resume  (AQUA_SWEEP_RESUME: the runner's own SweepCache
-///                       instance, namespaced by the sweep name and keyed
-///                       by cell label; ok cells loaded at construction
-///                       replay verbatim, cells this runner stores do not)
+///                       instance, keyed like the content cache; ok cells
+///                       replay verbatim, including cells this run stored)
 ///   2. poison          (AQUA_FAULT_CELL cells always fail, are journaled
 ///                       as failed, and are NEVER written to the cache)
 ///   3. in-process memo (dedupe of identical cells inside one sweep —
@@ -18,19 +19,16 @@
 ///                       that key's entry (not on a global lock) and are
 ///                       served as memo hits, so each key computes exactly
 ///                       once per sweep. A leader that fails or is
-///                       shard-skipped abandons the entry and waiters
-///                       retry from the top of the precedence chain.
-///   4. content cache   (AQUA_SWEEP_CACHE warm hits skip the compute and
-///                       are re-journaled so shard merges see them)
-///   5. shard skip      (AQUA_SWEEP_SHARDS/_SHARD_ID: cells owned by other
-///                       shards are left as holes)
-///   6. compute         (isolate-and-continue: a throwing cell is
+///                       cancelled abandons the entry and waiters retry
+///                       from the top of the precedence chain.
+///   4. content cache   (AQUA_SWEEP_CACHE warm hits skip the compute)
+///   5. compute         (isolate-and-continue: a throwing cell is
 ///                       journaled as failed, never cached, and does not
 ///                       abort the sweep)
 ///
-/// Poison outranks memo/cache on purpose: deterministic fault injection
-/// must not be maskable by a warm cache. Cache outranks shard so every
-/// shard applies already-known cells and only computes its own misses.
+/// A computed cacheable cell is stored in the journal and the cache; a memo
+/// or cache hit writes nothing. Poison outranks memo/cache on purpose:
+/// deterministic fault injection must not be maskable by a warm cache.
 ///
 /// Cancellation (DESIGN.md §13): run() takes an optional CancelToken and
 /// checks it at the chain boundaries — on entry (where it also honors the
@@ -56,9 +54,19 @@
 #include "sweep/cell_key.hpp"
 #include "sweep/cost.hpp"
 #include "sweep/interrupt.hpp"
-#include "sweep/shard.hpp"
 
 namespace aqua::sweep {
+
+inline constexpr const char* kResumeEnv = "AQUA_SWEEP_RESUME";
+inline constexpr const char* kPoisonEnv = "AQUA_FAULT_CELL";
+
+/// AQUA_SWEEP_RESUME=<path>: the resume journal every SweepRunner opens
+/// ("" when unset: no journal).
+std::string resume_path_from_env();
+
+/// AQUA_FAULT_CELL=<sweep>:<cell>[,...]: the cell labels of `sweep` that
+/// fail without computing (deterministic fault drills; empty when unset).
+std::vector<std::string> poisoned_cells_from_env(const std::string& sweep);
 
 /// Where a cell's values came from.
 enum class CellSource {
@@ -66,7 +74,6 @@ enum class CellSource {
   kJournal,
   kMemo,
   kCache,
-  kShardSkipped,
   kFailed,
   /// The cell's CancelToken fired (deadline or explicit cancel) or the
   /// process-wide sweep interrupt flag is up. Retryable: nothing was
@@ -80,24 +87,21 @@ const char* to_string(CellSource source);
 
 /// Per-cell opt-outs.
 struct CellPolicy {
-  /// false: the cell runs on every shard (e.g. NPB frequency caps, which
-  /// every shard needs as inputs to its own DES cells).
-  bool shardable = true;
-  /// false: never persisted (fault-degraded runs whose plan is not part of
-  /// the key). Memo dedupe still applies within the sweep.
+  /// false: never persisted to the journal or the cache (fault-degraded
+  /// runs whose plan is not part of the key). Memo dedupe still applies
+  /// within the sweep.
   bool cacheable = true;
 };
 
 class SweepRunner {
  public:
-  /// `sweep` names the journal namespace and the AQUA_FAULT_CELL prefix.
-  /// Resume journal, poison list and shard plan are read from the env at
-  /// construction (sweep/shard.hpp).
+  /// `sweep` names the AQUA_FAULT_CELL prefix and the run-report records.
+  /// Resume journal and poison list are read from the env at construction.
   explicit SweepRunner(std::string sweep);
 
   /// Runs one cell. `compute` produces the cell's values; `apply` writes
   /// values (from whichever source) into the caller's table. `apply` runs
-  /// for every source except kShardSkipped, kFailed and kCancelled.
+  /// for every source except kFailed and kCancelled.
   /// `token` bounds the cell cooperatively (see file comment); the default
   /// inert token never cancels.
   CellSource run(const CellConfig& config, const std::string& cell,
@@ -107,19 +111,16 @@ class SweepRunner {
                      apply,
                  const CancelToken& token = {});
 
-  [[nodiscard]] const ShardPlan& shard() const { return shard_; }
-
   struct Stats {
     std::size_t computed = 0;
     std::size_t journal_hits = 0;
     std::size_t memo_hits = 0;
     std::size_t cache_hits = 0;
-    std::size_t shard_skipped = 0;
     std::size_t failed = 0;
     std::size_t cancelled = 0;
     [[nodiscard]] std::size_t cells() const {
-      return computed + journal_hits + memo_hits + cache_hits +
-             shard_skipped + failed + cancelled;
+      return computed + journal_hits + memo_hits + cache_hits + failed +
+             cancelled;
     }
   };
   [[nodiscard]] Stats stats() const;
@@ -140,17 +141,18 @@ class SweepRunner {
   /// emits its `cell_cost` record.
   void record_cost(const std::string& cell, CellSource source,
                    const CellCost& cost);
-  /// Journals a failed cell and emits its `degraded_result` record.
-  void record_failed(const std::string& cell, const std::string& error);
+  /// Journals a failed cell under `key` and emits its `degraded_result`
+  /// record under its label `cell`.
+  void record_failed(const std::string& key, const std::string& cell,
+                     const std::string& error);
   std::string sweep_;
   SweepCache journal_;  ///< disabled unless AQUA_SWEEP_RESUME is set
   std::vector<std::string> poisons_;  ///< this sweep's AQUA_FAULT_CELL cells
-  ShardPlan shard_;
 
   /// Single-flight memo entry: one per canonical key. `memo_mutex_` only
   /// guards the map and entry state flips — never a compute. Waiters block
   /// on the entry's cv; `ready` publishes values, erasure from the map
-  /// (leader failed / shard-skipped) wakes waiters to retry as leaders.
+  /// (leader failed / cancelled) wakes waiters to retry as leaders.
   struct MemoEntry {
     std::condition_variable cv;
     bool ready = false;
@@ -168,7 +170,6 @@ class SweepRunner {
   std::atomic<std::size_t> journal_hits_{0};
   std::atomic<std::size_t> memo_hits_{0};
   std::atomic<std::size_t> cache_hits_{0};
-  std::atomic<std::size_t> shard_skipped_{0};
   std::atomic<std::size_t> failed_{0};
   std::atomic<std::size_t> cancelled_{0};
 };

@@ -31,7 +31,7 @@
 /// task's own pre-sized slot (a table cell owned by exactly one task), so
 /// the assembled table is byte-identical to the serial order regardless of
 /// completion order. Loose/unpinned tasks must therefore be pure in their
-/// slot values (the same robustness the shard partition already demands);
+/// slot values (the same robustness content addressing already demands);
 /// strict tasks additionally keep their exact solve chain.
 ///
 /// Env contract:

@@ -17,13 +17,14 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
 #include "sweep/cache.hpp"
-#include "sweep/shard.hpp"
+#include "sweep/runner.hpp"
 
 namespace aqua::service {
 namespace {
@@ -148,30 +149,71 @@ TEST_F(ServerTest, SubmitComputesThenServesSingleFlight) {
   EXPECT_EQ(stats.at("single_flight_hits"), 1.0);
 }
 
-TEST_F(ServerTest, ResumeJournalNeverServesTheRunsOwnCells) {
-  // A freq_cap label leaves out threshold_c, so two requests that differ
-  // only there share a label. The journal serves what it loaded at
-  // startup, never a cell this daemon stored, so each gets its own values.
+TEST_F(ServerTest, RestartedServerAnswersEachRequestFromItsOwnJournalRecord) {
+  // Each pair below shares a display label and differs only in an input
+  // the label leaves out: threshold_c, a DES seed, the 7th decimal of the
+  // coefficient. The resume journal is keyed by the canonical cell, so a
+  // server restarted on the same file answers every request with its own
+  // values. The rotation request puts the fourth request kind under test.
   const std::string path =
       std::string(::testing::TempDir()) + "/aqua_server_resume.jsonl";
   std::remove(path.c_str());
   ScopedEnv resume(sweep::kResumeEnv, path);
+
+  using Params = std::map<std::string, std::string>;
+  Params hot = cheap_cell(1);
+  hot["cooling"] = "air";
+  Params cool = hot;
+  cool["threshold_c"] = "40";
+  const Params npb_a = {{"chips", "1"},
+                        {"benchmark", "cg"},
+                        {"hz", "2e9"},
+                        {"instructions_per_thread", "2000"},
+                        {"seed", "1"}};
+  Params npb_b = npb_a;
+  npb_b["seed"] = "2";
+  const Params htc_a = {{"chip", "low_power_cmp"}, {"chips", "1"},
+                        {"htc", "800.0000001"},    {"nx", "8"},
+                        {"ny", "8"}};
+  Params htc_b = htc_a;
+  htc_b["htc"] = "800.0000004";
+  Params rotation = cheap_cell(1);
+  rotation["step"] = "0";
+  const std::vector<std::pair<std::string, Params>> requests = {
+      {"freq_cap", hot}, {"freq_cap", cool}, {"npb_des", npb_a},
+      {"npb_des", npb_b}, {"htc", htc_a},    {"htc", htc_b},
+      {"rotation", rotation}};
+
+  std::vector<CellResult> first;
+  {
+    SweepServer& server = start({});
+    SweepClient client("127.0.0.1", server.port());
+    for (const auto& [family, params] : requests) {
+      first.push_back(client.submit(family, params));
+      ASSERT_TRUE(first.back().ok()) << family << ": " << first.back().message;
+      EXPECT_EQ(first.back().source, "computed") << family;
+    }
+    server.stop();
+  }
+  for (std::size_t i = 0; i < 6; i += 2) {
+    EXPECT_EQ(first[i].cell, first[i + 1].cell) << requests[i].first;
+    EXPECT_NE(first[i].values, first[i + 1].values) << requests[i].first;
+  }
+
+  // Restart on the same journal. The 80 °C cap is asked first, right
+  // after the 40 °C one was the last freq_cap cell journaled.
   SweepServer& server = start({});
   SweepClient client("127.0.0.1", server.port());
-
-  std::map<std::string, std::string> hot = cheap_cell(1);
-  hot["cooling"] = "air";
-  std::map<std::string, std::string> cool = hot;
-  cool["threshold_c"] = "40";
-  const CellResult first = client.submit("freq_cap", hot);
-  const CellResult second = client.submit("freq_cap", cool);
-  ASSERT_TRUE(first.ok()) << first.message;
-  ASSERT_TRUE(second.ok()) << second.message;
-  EXPECT_EQ(first.cell, second.cell);
-  EXPECT_EQ(first.source, "computed");
-  EXPECT_EQ(second.source, "computed");
-  EXPECT_NE(first.values, second.values);
-  EXPECT_EQ(server.stats_snapshot().at("journal_hits"), 0.0);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const CellResult again =
+        client.submit(requests[i].first, requests[i].second);
+    ASSERT_TRUE(again.ok()) << requests[i].first << ": " << again.message;
+    EXPECT_EQ(again.source, "journal") << requests[i].first << " #" << i;
+    EXPECT_EQ(again.values, first[i].values)
+        << requests[i].first << " #" << i;
+  }
+  EXPECT_EQ(server.stats_snapshot().at("journal_hits"),
+            static_cast<double>(requests.size()));
   std::remove(path.c_str());
 }
 

@@ -1,6 +1,6 @@
 /// Golden-corpus regression tests for the experiment pipeline. Each
-/// scenario pins one figure family at a reduced scale and asserts three
-/// executions render bit-identically against tests/golden/<name>.txt:
+/// scenario pins one figure family at a reduced scale and asserts that
+/// these executions render bit-identically against tests/golden/<name>.txt:
 ///
 ///   1. a plain serial run,
 ///   2. a 1-worker and an 8-worker task-engine run (the serial reference
@@ -9,8 +9,8 @@
 ///   3. a warm AQUA_SWEEP_CACHE run (which must also do ZERO thermal
 ///      solves and ZERO simulated DES instructions — cache hits skip the
 ///      compute entirely, they don't just speed it up),
-///   4. for a representative subset, a 4-shard run whose per-shard
-///      journals are merged and replayed (again with zero recompute).
+///   4. for a representative subset, a cold AQUA_SWEEP_RESUME run and a
+///      replay from its journal (again with zero recompute).
 ///
 /// Regenerate the corpus after an intended numerical change with
 ///   AQUA_UPDATE_GOLDEN=1 ctest -R golden
@@ -26,7 +26,6 @@
 #include "power/chip_model.hpp"
 #include "sweep/cache.hpp"
 #include "sweep/runner.hpp"
-#include "sweep/shard.hpp"
 #include "sweep/task_engine.hpp"
 #include "golden_util.hpp"
 
@@ -49,9 +48,9 @@ GridOptions grid16() {
 }
 
 /// Drives one scenario through the serial / warm-cache / (optionally)
-/// sharded executions. `run` executes the experiment with whatever env is
-/// active and returns its rendered text.
-void exercise(const std::string& name, bool shard_phase,
+/// journal-replay executions. `run` executes the experiment with whatever
+/// env is active and returns its rendered text.
+void exercise(const std::string& name, bool journal_phase,
               const std::function<std::string()>& run) {
   namespace fs = std::filesystem;
   clear_sweep_env();
@@ -91,57 +90,45 @@ void exercise(const std::string& name, bool shard_phase,
       << "a warm run must not re-simulate the DES";
   sweep::SweepCache::instance().configure("");
 
-  if (!shard_phase) {
+  if (!journal_phase) {
     return;
   }
 
-  // --- 3. four disjoint shard passes (cache off, so the shards really
-  // compute), merged journals, and a resume replay of the merged file.
-  constexpr int kShards = 4;
-  std::vector<std::string> shard_files;
-  for (int k = 0; k < kShards; ++k) {
-    const std::string file = std::string(::testing::TempDir()) +
-                             "aqua_golden_" + name + "_shard" +
-                             std::to_string(k) + ".jsonl";
-    fs::remove(file);
-    ScopedEnv shards(sweep::ShardPlan::kShardsEnv, std::to_string(kShards));
-    ScopedEnv shard_id(sweep::ShardPlan::kShardIdEnv, std::to_string(k));
-    ScopedEnv journal(sweep::kResumeEnv, file);
-    run();
-    shard_files.push_back(file);
-  }
-  const std::string merged = std::string(::testing::TempDir()) +
-                             "aqua_golden_" + name + "_merged.jsonl";
-  fs::remove(merged);
-  const std::size_t records = sweep::merge_journal_files(merged, shard_files);
-  EXPECT_GT(records, 0u);
-  ScopedEnv journal(sweep::kResumeEnv, merged);
+  // --- 3. a cold run (cache off, so every cell computes) writes a resume
+  // journal; a replay from it must render bit-identically and compute
+  // nothing.
+  const std::string journal = std::string(::testing::TempDir()) +
+                              "aqua_golden_" + name + "_journal.jsonl";
+  fs::remove(journal);
+  ScopedEnv resume(sweep::kResumeEnv, journal);
+  const std::string journaled = run();
+  EXPECT_EQ(journaled, serial) << "journaled cold run diverged from serial";
   WorkProbe replay_probe;
   const std::string replayed = run();
-  EXPECT_EQ(replayed, serial) << "merged-shard replay diverged from serial";
+  EXPECT_EQ(replayed, serial) << "journal replay diverged from serial";
   EXPECT_EQ(replay_probe.solves(), 0u)
-      << "the merged journal must cover every thermal cell";
+      << "the journal must cover every thermal cell";
   EXPECT_EQ(replay_probe.des_instructions(), 0u)
-      << "the merged journal must cover every DES cell";
+      << "the journal must cover every DES cell";
 }
 
 // ------------------------------------------------------- the corpus --
 
 TEST(Golden, Fig07FreqVsChipsLowPower) {
-  exercise("fig07g", /*shard_phase=*/true, [] {
+  exercise("fig07g", /*journal_phase=*/true, [] {
     return render(frequency_vs_chips(make_low_power_cmp(), 5, 80.0, grid16()));
   });
 }
 
 TEST(Golden, Fig08FreqVsChipsHighFrequency) {
-  exercise("fig08g", /*shard_phase=*/false, [] {
+  exercise("fig08g", /*journal_phase=*/false, [] {
     return render(
         frequency_vs_chips(make_high_frequency_cmp(), 4, 80.0, grid16()));
   });
 }
 
 TEST(Golden, Fig10Npb6ChipLowPower) {
-  exercise("fig10g", /*shard_phase=*/true, [] {
+  exercise("fig10g", /*journal_phase=*/true, [] {
     return render(npb_experiment(make_low_power_cmp(), 6,
                                  CoolingKind::kWaterPipe, 80.0,
                                  /*instruction_scale=*/0.02, grid16()));
@@ -149,7 +136,7 @@ TEST(Golden, Fig10Npb6ChipLowPower) {
 }
 
 TEST(Golden, Fig11Npb8ChipLowPower) {
-  exercise("fig11g", /*shard_phase=*/false, [] {
+  exercise("fig11g", /*journal_phase=*/false, [] {
     return render(npb_experiment(make_low_power_cmp(), 8,
                                  CoolingKind::kMineralOil, 80.0,
                                  /*instruction_scale=*/0.012, grid16()));
@@ -157,7 +144,7 @@ TEST(Golden, Fig11Npb8ChipLowPower) {
 }
 
 TEST(Golden, Fig12Npb6ChipHighFrequency) {
-  exercise("fig12g", /*shard_phase=*/false, [] {
+  exercise("fig12g", /*journal_phase=*/false, [] {
     return render(npb_experiment(make_high_frequency_cmp(), 6,
                                  CoolingKind::kWaterPipe, 80.0,
                                  /*instruction_scale=*/0.012, grid16()));
@@ -165,7 +152,7 @@ TEST(Golden, Fig12Npb6ChipHighFrequency) {
 }
 
 TEST(Golden, Fig13Npb8ChipHighFrequency) {
-  exercise("fig13g", /*shard_phase=*/false, [] {
+  exercise("fig13g", /*journal_phase=*/false, [] {
     return render(npb_experiment(make_high_frequency_cmp(), 8,
                                  CoolingKind::kWaterPipe, 80.0,
                                  /*instruction_scale=*/0.01, grid16()));
@@ -173,14 +160,14 @@ TEST(Golden, Fig13Npb8ChipHighFrequency) {
 }
 
 TEST(Golden, Fig14HtcSweep) {
-  exercise("fig14g", /*shard_phase=*/true, [] {
+  exercise("fig14g", /*journal_phase=*/true, [] {
     return render(htc_sweep(make_low_power_cmp(), 3,
                             {50.0, 200.0, 800.0, 2400.0}, grid16()));
   });
 }
 
 TEST(Golden, Fig15RotationSweep) {
-  exercise("fig15g", /*shard_phase=*/false, [] {
+  exercise("fig15g", /*journal_phase=*/false, [] {
     return render(rotation_sweep(make_high_frequency_cmp(), 3,
                                  CoolingOption(CoolingKind::kWaterImmersion),
                                  grid16()));

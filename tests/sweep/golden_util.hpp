@@ -17,7 +17,7 @@
 #include "core/experiments.hpp"
 #include "obs/metrics.hpp"
 #include "sweep/cell_key.hpp"
-#include "sweep/shard.hpp"
+#include "sweep/runner.hpp"
 #include "sweep/task_engine.hpp"
 
 #ifndef AQUA_GOLDEN_DIR
@@ -42,8 +42,6 @@ class ScopedEnv {
 inline void clear_sweep_env() {
   ::unsetenv(sweep::kResumeEnv);
   ::unsetenv(sweep::kPoisonEnv);
-  ::unsetenv(sweep::ShardPlan::kShardsEnv);
-  ::unsetenv(sweep::ShardPlan::kShardIdEnv);
   ::unsetenv(sweep::TaskEngine::kWorkersEnv);
 }
 

@@ -1,7 +1,7 @@
 /// Negative-path tests for the sweep cell store (DESIGN.md §8, §9), as the
-/// content cache and as a resume journal: corrupt and truncated lines are
-/// skipped and recomputed, stale-salt files yield zero hits, and poisoned /
-/// fault-degraded cells are never persisted.
+/// content cache and as a resume journal: corrupt, edited and truncated
+/// lines are skipped and recomputed, stale-salt files yield zero hits, and
+/// poisoned / fault-degraded cells are never persisted.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +20,6 @@
 #include "sweep/cache.hpp"
 #include "sweep/cells.hpp"
 #include "sweep/runner.hpp"
-#include "sweep/shard.hpp"
 
 namespace aqua::sweep {
 namespace {
@@ -52,8 +51,6 @@ class SweepCacheTest : public ::testing::Test {
   void SetUp() override {
     ::unsetenv(sweep::kResumeEnv);
     ::unsetenv(sweep::kPoisonEnv);
-    ::unsetenv(ShardPlan::kShardsEnv);
-    ::unsetenv(ShardPlan::kShardIdEnv);
     dir_ = std::string(::testing::TempDir()) + "/aqua_cache_" +
            ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(dir_);
@@ -254,6 +251,8 @@ TEST_F(SweepCacheTest, PoisonedCellIsNeverWrittenToTheCache) {
 }
 
 TEST_F(SweepCacheTest, UncacheablePolicySkipsPersistence) {
+  const std::string journal = dir_ + "/journal.jsonl";
+  ScopedEnv resume(sweep::kResumeEnv, journal);
   SweepRunner runner("cache_degraded");
   const CellConfig config = npb_des_cell(6, 4, "ft", 1.6e9, 1000, 1, true);
   CellPolicy policy;
@@ -264,6 +263,7 @@ TEST_F(SweepCacheTest, UncacheablePolicySkipsPersistence) {
       [](const std::map<std::string, double>&) {});
   EXPECT_EQ(src, CellSource::kComputed);
   EXPECT_EQ(inspect_cache_file(file_path()).records, 0u);
+  EXPECT_EQ(inspect_cache_file(journal).records, 0u);
   EXPECT_GE(SweepCache::instance().stats().skips, 1u);
 
   // The in-process memo still dedupes the identical slot.
@@ -324,16 +324,16 @@ TEST_F(SweepCacheTest, PerSweepBreakdownSeparatesFamilies) {
 }
 
 // ------------------------------------------------------------- journal --
-// A resume journal is the same store, namespaced by sweep and keyed by
-// cell label; SweepRunner opens it on AQUA_SWEEP_RESUME.
+// A resume journal is the same store, keyed by the canonical cell like the
+// cache; SweepRunner opens it on AQUA_SWEEP_RESUME.
 
 std::string temp_journal_path(const char* tag) {
   return std::string(::testing::TempDir()) + "/aqua_journal_" + tag + ".jsonl";
 }
 
-/// A journal for `sweep` opened the way SweepRunner opens one.
-std::unique_ptr<SweepCache> journal_from_env(const std::string& sweep) {
-  auto journal = std::make_unique<SweepCache>(sweep);
+/// A journal opened the way SweepRunner opens one.
+std::unique_ptr<SweepCache> journal_from_env() {
+  auto journal = std::make_unique<SweepCache>();
   journal->open(resume_path_from_env());
   return journal;
 }
@@ -346,7 +346,7 @@ bool poisoned(const std::string& sweep, const std::string& cell) {
 TEST(SweepJournal, InactiveWithoutEnv) {
   ::unsetenv(kResumeEnv);
   ::unsetenv(kPoisonEnv);
-  const auto journal = journal_from_env("fig07");
+  const auto journal = journal_from_env();
   EXPECT_FALSE(journal->enabled());
   EXPECT_FALSE(journal->lookup("chips=1;cooling=air", nullptr));
   EXPECT_FALSE(poisoned("fig07", "chips=1;cooling=air"));
@@ -359,13 +359,13 @@ TEST(SweepJournal, RoundTripServesOkCells) {
   std::remove(path.c_str());
   ScopedEnv env(kResumeEnv, path);
   {
-    const auto writer = journal_from_env("fig07");
+    const auto writer = journal_from_env();
     ASSERT_TRUE(writer->enabled());
     writer->store("chips=1;cooling=air", {{"ghz", 2.0}, {"feasible", 1.0}});
     writer->store("chips=2;cooling=water", {{"ghz", 3.25}});
     writer->store_failed("chips=3;cooling=air", "poisoned for test");
   }
-  const auto reader = journal_from_env("fig07");
+  const auto reader = journal_from_env();
   std::map<std::string, double> cell;
   ASSERT_TRUE(reader->lookup("chips=1;cooling=air", &cell));
   EXPECT_DOUBLE_EQ(cell.at("ghz"), 2.0);
@@ -379,17 +379,34 @@ TEST(SweepJournal, RoundTripServesOkCells) {
   std::remove(path.c_str());
 }
 
-TEST(SweepJournal, OtherSweepsRecordsAreIgnored) {
+TEST(SweepJournal, FreqCapRecordJournaledByOneSweepServesAnother) {
+  ::unsetenv(kPoisonEnv);
+  SweepCache::instance().configure("");
   const std::string path = temp_journal_path("cross");
   std::remove(path.c_str());
   ScopedEnv env(kResumeEnv, path);
+  const CellConfig cap = freq_cap_cell("low_power_cmp", 6, "water", 80.0, {});
+  const std::map<std::string, double> values{{"feasible", 1.0},
+                                             {"ghz", 2.0}};
   {
-    const auto writer = journal_from_env("fig07");
-    writer->store("chips=1;cooling=air", {{"ghz", 2.0}});
+    SweepRunner fig07("freq_vs_chips");
+    EXPECT_EQ(fig07.run(cap, "chip=low_power_cmp;chips=6;cooling=water", {},
+                        [&] { return values; },
+                        [](const std::map<std::string, double>&) {}),
+              CellSource::kComputed);
   }
-  const auto reader = journal_from_env("npb");  // different sweep, same file
-  EXPECT_FALSE(reader->lookup("chips=1;cooling=air", nullptr));
-  EXPECT_EQ(reader->stats().loaded, 0u);
+  // The NPB sweep needs the identical cap cell under its own label.
+  SweepRunner npb("npb");
+  std::map<std::string, double> served;
+  EXPECT_EQ(npb.run(cap, "cap;chip=low_power_cmp;chips=6;cooling=water", {},
+                    []() -> std::map<std::string, double> {
+                      throw std::runtime_error("must not recompute");
+                    },
+                    [&](const std::map<std::string, double>& v) {
+                      served = v;
+                    }),
+            CellSource::kJournal);
+  EXPECT_EQ(served, values);
   std::remove(path.c_str());
 }
 
@@ -416,6 +433,36 @@ CellSource run_cell(SweepRunner& runner, double htc, const std::string& cell,
       [](const std::map<std::string, double>&) {});
 }
 
+// A journal record whose cell text was edited after the write keeps its old
+// hash: the resume must count it as bad, serve it under neither the old nor
+// the edited cell, and recompute.
+TEST(SweepJournal, EditedLabelFailsTheHashCheckAndRecomputes) {
+  ::unsetenv(kPoisonEnv);
+  SweepCache::instance().configure("");
+  const std::string path = temp_journal_path("edited_label");
+  std::remove(path.c_str());
+  ScopedEnv env(kResumeEnv, path);
+  {
+    SweepRunner first("edited");
+    EXPECT_EQ(run_cell(first, 800.0, "cell-a", 1.0), CellSource::kComputed);
+  }
+  std::string content = read_file(path);
+  const std::size_t pos = content.find("chips=4");
+  ASSERT_NE(pos, std::string::npos);
+  content.replace(pos, 7, "chips=5");
+  std::ofstream(path, std::ios::trunc) << content;
+
+  SweepRunner resumed("edited");
+  EXPECT_EQ(run_cell(resumed, 800.0, "cell-a", 1.0), CellSource::kComputed);
+  EXPECT_EQ(resumed.run(htc_cell("low_power", 5, 800.0, {}), "cell-z", {},
+                        [] { return std::map<std::string, double>{
+                                 {"value", 1.0}}; },
+                        [](const std::map<std::string, double>&) {}),
+            CellSource::kComputed);
+  EXPECT_EQ(inspect_cache_file(path).bad_lines, 1u);
+  std::remove(path.c_str());
+}
+
 // A kill in the middle of an append leaves half a line at the tail. The
 // resume must serve the intact cells, count the torn line, and start the
 // next record on a line of its own.
@@ -431,7 +478,7 @@ TEST(SweepJournal, TornTailResumesIntactCellsAndAppendsOnAFreshLine) {
     EXPECT_EQ(run_cell(first, 1600.0, "cell-b", 2.0), CellSource::kComputed);
   }
   std::ofstream(path, std::ios::app)
-      << R"({"kind": "sweep_cell", "salt": "aqua-sweep-v1", "hash": "01)";
+      << R"({"kind": "sweep_cache", "salt": "aqua-sweep-v1", "hash": "01)";
 
   SweepRunner resumed("torn");
   EXPECT_EQ(run_cell(resumed, 800.0, "cell-a", -1.0), CellSource::kJournal);
@@ -444,28 +491,6 @@ TEST(SweepJournal, TornTailResumesIntactCellsAndAppendsOnAFreshLine) {
   const CacheFileSummary summary = inspect_cache_file(path);
   EXPECT_EQ(summary.records, 3u);
   EXPECT_EQ(summary.bad_lines, 1u);
-  std::remove(path.c_str());
-}
-
-TEST(SweepJournal, EditedLabelFailsTheHashCheckAndRecomputes) {
-  ::unsetenv(kPoisonEnv);
-  SweepCache::instance().configure("");
-  const std::string path = temp_journal_path("edited_label");
-  std::remove(path.c_str());
-  ScopedEnv env(kResumeEnv, path);
-  {
-    SweepRunner first("edited");
-    EXPECT_EQ(run_cell(first, 800.0, "cell-a", 1.0), CellSource::kComputed);
-  }
-  std::string content = read_file(path);
-  const std::size_t pos = content.find("\"cell-a\"");
-  ASSERT_NE(pos, std::string::npos);
-  content.replace(pos, 8, "\"cell-z\"");
-  std::ofstream(path, std::ios::trunc) << content;
-
-  SweepRunner resumed("edited");
-  EXPECT_EQ(run_cell(resumed, 800.0, "cell-z", 1.0), CellSource::kComputed);
-  EXPECT_EQ(inspect_cache_file(path).bad_lines, 1u);
   std::remove(path.c_str());
 }
 

@@ -21,7 +21,6 @@
 #include "sweep/cache.hpp"
 #include "sweep/cell_key.hpp"
 #include "sweep/runner.hpp"
-#include "sweep/shard.hpp"
 #include "sweep/task_engine.hpp"
 
 namespace aqua::sweep {

@@ -44,7 +44,7 @@ class StoreFuzzTest : public ::testing::Test {
       cache.open(path);
       cache.store(htc_cell("low_power", 4, 800.0, {}),
                   {{"temperature_c", 61.5}, {"watts", 12.25}});
-      SweepCache journal("fig07");
+      SweepCache journal;
       journal.open(path);
       journal.store("chips=2;cooling=water", {{"ghz", 2.3}});
       journal.store_failed("chips=3;cooling=air", "poisoned");
@@ -78,7 +78,7 @@ class StoreFuzzTest : public ::testing::Test {
     }
     SweepCache cache;
     ASSERT_NO_THROW(cache.open(path)) << content;
-    SweepCache journal("fig07");
+    SweepCache journal;
     ASSERT_NO_THROW(journal.open(path)) << content;
     ++loads_;
   }
