@@ -12,9 +12,9 @@
 namespace {
 
 struct Problem {
-  aqua::SparseMatrix matrix;
+  aqua::StencilOperator op;
+  aqua::SparseMatrix csr;  // the same matrix for Gauss-Seidel
   std::vector<double> rhs;
-  aqua::GridShape shape;
 };
 
 Problem make_problem(std::size_t chips) {
@@ -28,24 +28,24 @@ Problem make_problem(std::size_t chips) {
   for (std::size_t l = 0; l < chips; ++l) {
     powers.push_back(chip.block_powers(stack.layer(l), aqua::gigahertz(1.5)));
   }
-  return {model.conductance(), model.power_vector(powers),
-          model.grid_shape()};
+  return {model.conductance(), model.conductance().to_csr(),
+          model.power_vector(powers)};
 }
 
 void microbench_cg(benchmark::State& state) {
   const Problem p = make_problem(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(aqua::solve_cg(p.matrix, p.rhs));
+    benchmark::DoNotOptimize(aqua::solve_cg(p.op, p.rhs));
   }
 }
 BENCHMARK(microbench_cg)->Arg(2)->Arg(8)->Unit(benchmark::kMillisecond);
 
 void microbench_mg_cg(benchmark::State& state) {
   const Problem p = make_problem(static_cast<std::size_t>(state.range(0)));
-  const aqua::MultigridPreconditioner mg(p.matrix, p.shape);
+  const aqua::MultigridPreconditioner mg(p.op);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        aqua::solve_cg(p.matrix, p.rhs, {}, {}, &mg));
+        aqua::solve_cg(p.op, p.rhs, {}, {}, &mg));
   }
 }
 BENCHMARK(microbench_mg_cg)->Arg(2)->Arg(8)->Unit(benchmark::kMillisecond);
@@ -55,7 +55,7 @@ void microbench_gauss_seidel(benchmark::State& state) {
   aqua::SolverOptions opts;
   opts.max_iterations = 200000;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(aqua::solve_gauss_seidel(p.matrix, p.rhs, opts));
+    benchmark::DoNotOptimize(aqua::solve_gauss_seidel(p.csr, p.rhs, opts));
   }
 }
 BENCHMARK(microbench_gauss_seidel)->Arg(2)->Unit(benchmark::kMillisecond);
@@ -70,14 +70,14 @@ int main(int argc, char** argv) {
                  "max_T_diff_C"});
   for (std::size_t chips : {2u, 4u, 8u}) {
     const Problem p = make_problem(chips);
-    const aqua::MultigridPreconditioner mg_precond(p.matrix, p.shape);
+    const aqua::MultigridPreconditioner mg_precond(p.op);
     const aqua::SolveResult mg =
-        aqua::solve_cg(p.matrix, p.rhs, {}, {}, &mg_precond);
-    const aqua::SolveResult cg = aqua::solve_cg(p.matrix, p.rhs);
+        aqua::solve_cg(p.op, p.rhs, {}, {}, &mg_precond);
+    const aqua::SolveResult cg = aqua::solve_cg(p.op, p.rhs);
     aqua::SolverOptions gs_opts;
     gs_opts.max_iterations = 200000;
     const aqua::SolveResult gs =
-        aqua::solve_gauss_seidel(p.matrix, p.rhs, gs_opts);
+        aqua::solve_gauss_seidel(p.csr, p.rhs, gs_opts);
     double diff = 0.0;
     for (std::size_t i = 0; i < cg.x.size(); ++i) {
       diff = std::max(diff, std::abs(cg.x[i] - gs.x[i]));
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
     }
     t.row()
         .add_int(static_cast<long long>(chips))
-        .add_int(static_cast<long long>(p.matrix.rows()))
+        .add_int(static_cast<long long>(p.op.rows()))
         .add_int(static_cast<long long>(mg.iterations))
         .add_int(static_cast<long long>(cg.iterations))
         .add_int(static_cast<long long>(gs.iterations))

@@ -85,7 +85,9 @@ class JsonReport {
   JsonReport& add(const std::string& key, const std::string& value);
 
   /// Expands one SolverStats into `<prefix>_solves`, `_iterations`,
-  /// `_vcycles` and `_wall_seconds` entries.
+  /// `_vcycles` and `_solver_cpu_seconds` entries. The last is CG time
+  /// summed over every solve, whatever thread ran it: CPU time, not wall
+  /// time.
   JsonReport& add_stats(const std::string& prefix, const SolverStats& stats);
 
   /// Expands a sweep's cell-provenance counters into `sweep_cells`,

@@ -1,150 +1,212 @@
 #include "common/multigrid.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/vec2.hpp"
 #include "obs/trace.hpp"
 
 namespace aqua {
 
 namespace {
 
-/// Parent map for 2x2x1 coarsening of `shape`; fills `coarse` with the
-/// coarse-grid shape.
-std::vector<std::uint32_t> make_parent_map(const GridShape& shape,
-                                           GridShape& coarse) {
-  coarse.nx = (shape.nx + 1) / 2;
-  coarse.ny = (shape.ny + 1) / 2;
-  coarse.layers = shape.layers;
-  std::vector<std::uint32_t> parent(shape.nodes());
-  for (std::size_t l = 0; l < shape.layers; ++l) {
-    for (std::size_t iy = 0; iy < shape.ny; ++iy) {
-      for (std::size_t ix = 0; ix < shape.nx; ++ix) {
-        const std::size_t fine_node =
-            l * shape.nx * shape.ny + iy * shape.nx + ix;
-        const std::size_t coarse_node =
-            l * coarse.nx * coarse.ny + (iy / 2) * coarse.nx + ix / 2;
-        parent[fine_node] = static_cast<std::uint32_t>(coarse_node);
-      }
-    }
-  }
-  return parent;
+/// The 2x2x1-coarsened shape of `shape`.
+GridShape coarsened(const GridShape& shape) {
+  return {(shape.nx + 1) / 2, (shape.ny + 1) / 2, shape.layers};
+}
+
+/// Coarse node that fine node `node` restricts into.
+std::size_t parent_of(const GridShape& fine, const GridShape& coarse,
+                      std::size_t node) {
+  const std::size_t plane_n = fine.nx * fine.ny;
+  const std::size_t layer = node / plane_n;
+  const std::size_t iy = node % plane_n / fine.nx;
+  const std::size_t ix = node % fine.nx;
+  return layer * coarse.nx * coarse.ny + (iy / 2) * coarse.nx + ix / 2;
 }
 
 /// Galerkin triple product R A R^T with piecewise-constant restriction:
-/// A_c[I, J] = sum of A[i, j] over children i of I, j of J.
-SparseMatrix galerkin_coarse(const SparseMatrix& fine,
-                             const std::vector<std::uint32_t>& parent,
-                             std::size_t coarse_nodes) {
-  SparseBuilder builder(coarse_nodes, coarse_nodes);
-  for (std::size_t r = 0; r < fine.rows(); ++r) {
-    for (std::size_t k = fine.row_ptr()[r]; k < fine.row_ptr()[r + 1]; ++k) {
-      builder.add(parent[r], parent[fine.col_idx()[k]], fine.values()[k]);
-    }
-  }
-  return builder.build();
+/// A_c[I, J] = sum of A[i, j] over children i of I, j of J. Assembled
+/// through SparseBuilder from the fine entries in CSR order.
+StencilOperator galerkin_coarse(const StencilOperator& fine) {
+  const GridShape& shape = fine.shape();
+  const GridShape coarse = coarsened(shape);
+  SparseBuilder builder(coarse.nodes(), coarse.nodes());
+  fine.for_each_entry([&](std::size_t r, std::size_t c, double v) {
+    builder.add(parent_of(shape, coarse, r), parent_of(shape, coarse, c), v);
+  });
+  return StencilOperator::from_csr(builder.build(), coarse);
 }
 
-std::vector<double> inverted_diagonal(const SparseMatrix& a) {
-  std::vector<double> inv = a.diagonal();
-  for (double& d : inv) {
-    ensure(d > 0.0, "multigrid: non-positive diagonal on a level");
-    d = 1.0 / d;
+/// The coarse face that fine entry (node at ix, iy; `face`) sums into: an
+/// in-plane neighbour with the same parent lands on the diagonal.
+Face coarse_face(Face face, std::size_t ix, std::size_t iy) {
+  switch (face) {
+    case Face::kSouth: return iy % 2 == 0 ? Face::kSouth : Face::kDiag;
+    case Face::kWest: return ix % 2 == 0 ? Face::kWest : Face::kDiag;
+    case Face::kEast: return ix % 2 == 1 ? Face::kEast : Face::kDiag;
+    case Face::kNorth: return iy % 2 == 1 ? Face::kNorth : Face::kDiag;
+    default: return face;
   }
-  return inv;
+}
+
+/// Recomputes the Galerkin sums of `coarse` in place: every coarse entry
+/// starts at 0 and adds its fine entries in CSR order.
+void accumulate_galerkin(const StencilOperator& fine,
+                         StencilOperator& coarse) {
+  std::array<std::span<const double>, kFaces> from;
+  std::array<std::span<double>, kFaces> to;
+  for (std::size_t f = 0; f < kFaces; ++f) {
+    from[f] = fine.plane(static_cast<Face>(f));
+    to[f] = coarse.plane(static_cast<Face>(f));
+    std::fill(to[f].begin(), to[f].end(), 0.0);
+  }
+  const GridShape& fs = fine.shape();
+  const GridShape& cs = coarse.shape();
+  std::size_t row = 0;
+  for (std::size_t l = 0; l < fs.layers; ++l) {
+    for (std::size_t iy = 0; iy < fs.ny; ++iy) {
+      for (std::size_t ix = 0; ix < fs.nx; ++ix, ++row) {
+        const std::size_t parent =
+            l * cs.nx * cs.ny + (iy / 2) * cs.nx + ix / 2;
+        for (std::size_t f = 0; f < kFaces; ++f) {
+          const Face face = static_cast<Face>(f);
+          if (!fine.has(face, l, iy, ix)) continue;
+          const auto cf =
+              static_cast<std::size_t>(coarse_face(face, ix, iy));
+          to[cf][parent] += from[f][row];
+        }
+      }
+    }
+  }
+}
+
+/// jacobi_weight * (1 / a_ii) per node: the smoother's scale, computed as
+/// the weight times the inverted diagonal.
+std::vector<double> scaled_inverse_diagonal(const StencilOperator& a,
+                                            double weight) {
+  std::vector<double> wd = a.diagonal();
+  for (double& d : wd) {
+    ensure(d > 0.0, "multigrid: non-positive diagonal on a level");
+    d = weight * (1.0 / d);
+  }
+  return wd;
 }
 
 }  // namespace
 
-MultigridPreconditioner::MultigridPreconditioner(const SparseMatrix& fine,
-                                                 GridShape shape,
+void jacobi_sweep(const StencilOperator& a, std::span<const double> wd,
+                  std::span<const double> rhs, std::span<const double> src,
+                  std::span<double> dst) {
+  const GridShape& s = a.shape();
+  require(wd.size() == s.nodes() && rhs.size() == s.nodes() &&
+              src.size() == s.nodes() && dst.size() == s.nodes(),
+          "jacobi_sweep: dimension mismatch");
+  std::size_t base = 0;
+  for (std::size_t l = 0; l < s.layers; ++l) {
+    for (std::size_t iy = 0; iy < s.ny; ++iy, base += s.nx) {
+      double* out = dst.data() + base;
+      a.apply_row(l, iy, src.data(), out);
+      const double* x = src.data() + base;
+      const double* w = wd.data() + base;
+      const double* b = rhs.data() + base;
+      for_each_pair(s.nx, [&](std::size_t ix, auto load, auto store) {
+        store(out + ix,
+              load(x + ix) + load(w + ix) * (load(b + ix) - load(out + ix)));
+      });
+    }
+  }
+}
+
+void restrict_residual(const StencilOperator& a, std::span<const double> rhs,
+                       std::span<const double> x, std::span<double> scratch,
+                       std::span<double> coarse) {
+  const GridShape& s = a.shape();
+  const GridShape cs = coarsened(s);
+  require(rhs.size() == s.nodes() && x.size() == s.nodes() &&
+              scratch.size() == s.nodes() && coarse.size() == cs.nodes(),
+          "restrict_residual: dimension mismatch");
+  std::fill(coarse.begin(), coarse.end(), 0.0);
+  std::size_t base = 0;
+  for (std::size_t l = 0; l < s.layers; ++l) {
+    for (std::size_t iy = 0; iy < s.ny; ++iy, base += s.nx) {
+      double* ax = scratch.data() + base;
+      a.apply_row(l, iy, x.data(), ax);
+      double* parents = coarse.data() + l * cs.nx * cs.ny + (iy / 2) * cs.nx;
+      for (std::size_t ix = 0; ix < s.nx; ++ix) {
+        parents[ix / 2] += rhs[base + ix] - ax[ix];
+      }
+    }
+  }
+}
+
+MultigridPreconditioner::MultigridPreconditioner(const StencilOperator& fine,
                                                  MultigridOptions options)
-    : shape_(shape), options_(options) {
+    : fine_(&fine), options_(options) {
   AQUA_TRACE_SCOPE_C("multigrid.build", "solver");
-  require(shape_.nodes() == fine.rows(),
-          "multigrid: shape does not match matrix dimension");
-  require(shape_.nx >= 1 && shape_.ny >= 1 && shape_.layers >= 1,
+  const GridShape& shape = fine.shape();
+  require(shape.nx >= 1 && shape.ny >= 1 && shape.layers >= 1,
           "multigrid: degenerate grid shape");
   require(options_.smooth_sweeps >= 1, "multigrid: need >= 1 smoothing sweep");
 
-  Level finest;
-  finest.a = fine;  // copy: levels own their operators
-  finest.shape = shape_;
-  levels_.push_back(std::move(finest));
-
+  levels_.emplace_back();  // level 0 is the fine operator itself
   while (levels_.size() < options_.max_levels) {
-    Level& top = levels_.back();
-    if (top.shape.nx <= options_.coarsest_extent &&
-        top.shape.ny <= options_.coarsest_extent) {
+    const StencilOperator& top = level_operator(levels_.size() - 1);
+    if (top.shape().nx <= options_.coarsest_extent &&
+        top.shape().ny <= options_.coarsest_extent) {
       break;
     }
-    GridShape coarse_shape;
-    top.parent = make_parent_map(top.shape, coarse_shape);
     Level next;
-    next.a = galerkin_coarse(top.a, top.parent, coarse_shape.nodes());
-    next.shape = coarse_shape;
-    // Entry map: position of each fine nonzero inside the coarse CSR, so
-    // refresh_values can re-accumulate without rebuilding index arrays.
-    top.entry_map.resize(top.a.nonzeros());
-    for (std::size_t r = 0; r < top.a.rows(); ++r) {
-      for (std::size_t k = top.a.row_ptr()[r]; k < top.a.row_ptr()[r + 1];
-           ++k) {
-        top.entry_map[k] =
-            next.a.entry_index(top.parent[r], top.parent[top.a.col_idx()[k]]);
-      }
-    }
+    next.a = galerkin_coarse(top);
     levels_.push_back(std::move(next));
   }
 
-  for (Level& level : levels_) {
-    level.inv_diag = inverted_diagonal(level.a);
-    level.x.resize(level.shape.nodes());
-    level.rhs.resize(level.shape.nodes());
-    level.res.resize(level.shape.nodes());
+  for (std::size_t d = 0; d < levels_.size(); ++d) {
+    Level& level = levels_[d];
+    const StencilOperator& a = level_operator(d);
+    level.wd = scaled_inverse_diagonal(a, options_.jacobi_weight);
+    if (d + 1 < levels_.size()) level.tmp.resize(a.rows());
+    if (d > 0) {
+      level.x.resize(a.rows());
+      level.rhs.resize(a.rows());
+    }
   }
   factor_coarsest();
 }
 
-void MultigridPreconditioner::refresh_values(const SparseMatrix& fine) {
+const StencilOperator& MultigridPreconditioner::level_operator(
+    std::size_t depth) const {
+  require(depth < levels_.size(), "multigrid: level out of range");
+  return depth == 0 ? *fine_ : levels_[depth].a;
+}
+
+void MultigridPreconditioner::refresh_values() {
   AQUA_TRACE_SCOPE_C("multigrid.refresh_values", "solver");
-  require(fine.rows() == shape_.nodes() &&
-              fine.nonzeros() == levels_.front().a.nonzeros(),
-          "multigrid refresh: structure mismatch");
-  // Copy the new fine values, then push them down the hierarchy through the
-  // cached entry maps (pure value accumulation — no index rebuilds).
-  for (std::size_t k = 0; k < fine.nonzeros(); ++k) {
-    levels_.front().a.set_value(k, fine.values()[k]);
+  for (std::size_t d = 1; d < levels_.size(); ++d) {
+    accumulate_galerkin(level_operator(d - 1), levels_[d].a);
   }
-  for (std::size_t l = 0; l + 1 < levels_.size(); ++l) {
-    const Level& from = levels_[l];
-    Level& to = levels_[l + 1];
-    for (std::size_t k = 0; k < to.a.nonzeros(); ++k) to.a.set_value(k, 0.0);
-    for (std::size_t k = 0; k < from.a.nonzeros(); ++k) {
-      to.a.set_value(from.entry_map[k],
-                     to.a.values()[from.entry_map[k]] + from.a.values()[k]);
-    }
+  for (std::size_t d = 0; d < levels_.size(); ++d) {
+    levels_[d].wd =
+        scaled_inverse_diagonal(level_operator(d), options_.jacobi_weight);
   }
-  for (Level& level : levels_) level.inv_diag = inverted_diagonal(level.a);
   factor_coarsest();
 }
 
 void MultigridPreconditioner::factor_coarsest() {
-  const SparseMatrix& a = levels_.back().a;
+  const StencilOperator& a = level_operator(levels_.size() - 1);
   const std::size_t n = a.rows();
-  lu_.assign(n * n, 0.0);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t k = a.row_ptr()[r]; k < a.row_ptr()[r + 1]; ++k) {
-      lu_[r * n + a.col_idx()[k]] = a.values()[k];
-    }
-  }
+  std::vector<double> lu(n * n, 0.0);
+  a.for_each_entry(
+      [&](std::size_t r, std::size_t c, double v) { lu[r * n + c] = v; });
   // In-place LU with partial pivoting.
   pivots_.resize(n);
   for (std::size_t c = 0; c < n; ++c) {
     std::size_t pivot = c;
-    double best = std::abs(lu_[c * n + c]);
+    double best = std::abs(lu[c * n + c]);
     for (std::size_t r = c + 1; r < n; ++r) {
-      const double mag = std::abs(lu_[r * n + c]);
+      const double mag = std::abs(lu[r * n + c]);
       if (mag > best) {
         best = mag;
         pivot = r;
@@ -154,96 +216,133 @@ void MultigridPreconditioner::factor_coarsest() {
     pivots_[c] = pivot;
     if (pivot != c) {
       for (std::size_t j = 0; j < n; ++j) {
-        std::swap(lu_[c * n + j], lu_[pivot * n + j]);
+        std::swap(lu[c * n + j], lu[pivot * n + j]);
       }
     }
-    const double inv_pivot = 1.0 / lu_[c * n + c];
+    const double inv_pivot = 1.0 / lu[c * n + c];
     for (std::size_t r = c + 1; r < n; ++r) {
-      const double factor = lu_[r * n + c] * inv_pivot;
-      lu_[r * n + c] = factor;
+      const double factor = lu[r * n + c] * inv_pivot;
+      lu[r * n + c] = factor;
       if (factor == 0.0) continue;
       for (std::size_t j = c + 1; j < n; ++j) {
-        lu_[r * n + j] -= factor * lu_[c * n + j];
+        lu[r * n + j] -= factor * lu[c * n + j];
       }
     }
+  }
+  // Keep each row from its first nonzero L entry to its last nonzero U
+  // entry; the substitutions skip only exact zeros outside that extent.
+  lu_.clear();
+  lu_offset_.resize(n);
+  lu_begin_.resize(n);
+  lu_end_.resize(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    const double* row = lu.data() + r * n;
+    std::size_t begin = 0;
+    while (begin < r && row[begin] == 0.0) ++begin;
+    std::size_t end = n;
+    while (end > r + 1 && row[end - 1] == 0.0) --end;
+    lu_offset_[r] = lu_.size();
+    lu_begin_[r] = begin;
+    lu_end_[r] = end;
+    lu_.insert(lu_.end(), row + begin, row + end);
   }
 }
 
-void MultigridPreconditioner::smooth(const Level& level,
-                                     const std::vector<double>& rhs,
-                                     std::vector<double>& x,
-                                     bool x_is_zero) const {
-  const double w = options_.jacobi_weight;
-  const std::size_t n = level.shape.nodes();
-  std::size_t sweeps = options_.smooth_sweeps;
-  if (x_is_zero) {
-    // First sweep from a zero guess collapses to a diagonal scale.
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] = w * level.inv_diag[i] * rhs[i];
-    }
-    --sweeps;
+void MultigridPreconditioner::solve_coarsest(std::span<const double> rhs,
+                                             std::span<double> x) const {
+  const std::size_t n = pivots_.size();
+  require(rhs.size() == n && x.size() == n,
+          "multigrid coarsest solve: dimension mismatch");
+  std::copy(rhs.begin(), rhs.end(), x.begin());
+  for (std::size_t c = 0; c < n; ++c) {
+    if (pivots_[c] != c) std::swap(x[c], x[pivots_[c]]);
   }
+  for (std::size_t r = 1; r < n; ++r) {
+    const double* row = lu_.data() + lu_offset_[r];
+    const std::size_t begin = lu_begin_[r];
+    double acc = x[r];
+    for (std::size_t c = begin; c < r; ++c) acc -= row[c - begin] * x[c];
+    x[r] = acc;
+  }
+  for (std::size_t r = n; r-- > 0;) {
+    const double* row = lu_.data() + lu_offset_[r];
+    const std::size_t begin = lu_begin_[r];
+    double acc = x[r];
+    for (std::size_t c = r + 1; c < lu_end_[r]; ++c) {
+      acc -= row[c - begin] * x[c];
+    }
+    x[r] = acc / row[r - begin];
+  }
+}
+
+std::span<double> MultigridPreconditioner::smooth(
+    std::size_t depth, std::span<const double> rhs, std::span<double> from,
+    std::span<double> other, std::size_t sweeps) const {
+  // Each sweep reads one buffer and writes the other; the result is in
+  // whichever the last sweep wrote.
   for (std::size_t s = 0; s < sweeps; ++s) {
-    level.a.multiply(x, level.res);
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] += w * level.inv_diag[i] * (rhs[i] - level.res[i]);
-    }
+    jacobi_sweep(level_operator(depth), levels_[depth].wd, rhs, from, other);
+    std::swap(from, other);
   }
+  return from;
 }
 
 void MultigridPreconditioner::cycle(std::size_t depth,
-                                    const std::vector<double>& rhs,
-                                    std::vector<double>& x) const {
-  const Level& level = levels_[depth];
-  const std::size_t n = level.shape.nodes();
-
+                                    std::span<const double> rhs,
+                                    std::span<double> x) const {
   if (depth + 1 == levels_.size()) {
-    // Coarsest: direct solve through the cached LU.
-    x = rhs;
-    for (std::size_t c = 0; c < n; ++c) {
-      if (pivots_[c] != c) std::swap(x[c], x[pivots_[c]]);
-    }
-    for (std::size_t r = 1; r < n; ++r) {
-      double acc = x[r];
-      for (std::size_t c = 0; c < r; ++c) acc -= lu_[r * n + c] * x[c];
-      x[r] = acc;
-    }
-    for (std::size_t r = n; r-- > 0;) {
-      double acc = x[r];
-      for (std::size_t c = r + 1; c < n; ++c) acc -= lu_[r * n + c] * x[c];
-      x[r] = acc / lu_[r * n + r];
-    }
+    solve_coarsest(rhs, x);
     return;
   }
-
-  smooth(level, rhs, x, /*x_is_zero=*/true);
-
-  // Residual, restricted by summing children into parents.
-  level.a.multiply(x, level.res);
+  const Level& level = levels_[depth];
+  const StencilOperator& a = level_operator(depth);
   const Level& coarse = levels_[depth + 1];
-  std::fill(coarse.rhs.begin(), coarse.rhs.end(), 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    coarse.rhs[level.parent[i]] += rhs[i] - level.res[i];
+  const std::span<double> tmp(level.tmp);
+
+  // Pre-smoothing from a zero guess: the first sweep is a diagonal scale.
+  for_each_pair(x.size(), [&](std::size_t i, auto load, auto store) {
+    store(x.data() + i, load(level.wd.data() + i) * load(rhs.data() + i));
+  });
+  std::span<double> smoothed =
+      smooth(depth, rhs, x, tmp, options_.smooth_sweeps - 1);
+  if (smoothed.data() != x.data()) {
+    std::copy(smoothed.begin(), smoothed.end(), x.begin());
   }
 
+  restrict_residual(a, rhs, x, tmp, coarse.rhs);
   cycle(depth + 1, coarse.rhs, coarse.x);
 
-  // Prolong (inject the parent correction into each child) and correct.
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] += coarse.x[level.parent[i]];
+  // Prolong (inject the parent correction into each child) into tmp, so
+  // the post-smoother's first sweep writes x.
+  const GridShape& fs = a.shape();
+  const GridShape& cs = coarse.a.shape();
+  std::size_t base = 0;
+  for (std::size_t l = 0; l < fs.layers; ++l) {
+    for (std::size_t iy = 0; iy < fs.ny; ++iy, base += fs.nx) {
+      const double* parents =
+          coarse.x.data() + l * cs.nx * cs.ny + (iy / 2) * cs.nx;
+      const double* xr = x.data() + base;
+      double* out = tmp.data() + base;
+      std::size_t ix = 0;
+      for (; ix + 2 <= fs.nx; ix += 2) {  // children 2k and 2k+1 share parent k
+        const double p = parents[ix / 2];
+        store2(out + ix, load2(xr + ix) + Vec2{p, p});
+      }
+      if (ix < fs.nx) out[ix] = xr[ix] + parents[ix / 2];
+    }
   }
-
-  smooth(level, rhs, x, /*x_is_zero=*/false);
+  smoothed = smooth(depth, rhs, tmp, x, options_.smooth_sweeps);
+  if (smoothed.data() != x.data()) {
+    std::copy(smoothed.begin(), smoothed.end(), x.begin());
+  }
 }
 
 void MultigridPreconditioner::apply(std::span<const double> r,
                                     std::span<double> z) const {
-  require(r.size() == shape_.nodes() && z.size() == shape_.nodes(),
+  const std::size_t n = fine_->rows();
+  require(r.size() == n && z.size() == n,
           "multigrid apply: dimension mismatch");
-  const Level& finest = levels_.front();
-  std::copy(r.begin(), r.end(), finest.rhs.begin());
-  cycle(0, finest.rhs, finest.x);
-  std::copy(finest.x.begin(), finest.x.end(), z.begin());
+  cycle(0, r, z);
   ++vcycles_;
 }
 

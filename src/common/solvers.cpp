@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "common/error.hpp"
+#include "common/vec2.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -60,6 +61,7 @@ SolverStats solver_totals_since(const SolverStats& before) {
 
 void record_global_vcycles(std::size_t vcycles) {
   global_solver_counters().vcycles.add(vcycles);
+  obs::thread_work().vcycles += vcycles;
 }
 
 double norm2(const std::vector<double>& v) {
@@ -68,7 +70,7 @@ double norm2(const std::vector<double>& v) {
   return std::sqrt(acc);
 }
 
-JacobiPreconditioner::JacobiPreconditioner(const SparseMatrix& a)
+JacobiPreconditioner::JacobiPreconditioner(const LinearOperator& a)
     : inv_diag_(a.diagonal()) {
   for (double& d : inv_diag_) {
     ensure(d > 0.0, "jacobi: non-positive diagonal (matrix not SPD?)");
@@ -92,7 +94,7 @@ double dot(const std::vector<double>& a, const std::vector<double>& b) {
 }
 
 /// r = b - A x into a caller-provided scratch buffer (no allocation).
-void residual_into(const SparseMatrix& a, const std::vector<double>& b,
+void residual_into(const LinearOperator& a, const std::vector<double>& b,
                    const std::vector<double>& x, std::vector<double>& r) {
   r.resize(b.size());
   a.multiply(x, r);
@@ -101,7 +103,7 @@ void residual_into(const SparseMatrix& a, const std::vector<double>& b,
 
 }  // namespace
 
-SolveResult solve_cg(const SparseMatrix& a, const std::vector<double>& b,
+SolveResult solve_cg(const LinearOperator& a, const std::vector<double>& b,
                      const SolverOptions& options, std::vector<double> x0,
                      const Preconditioner* preconditioner, SolverStats* stats) {
   AQUA_TRACE_SCOPE_C("solver.cg", "solver");
@@ -122,12 +124,16 @@ SolveResult solve_cg(const SparseMatrix& a, const std::vector<double>& b,
       stats->wall_seconds += std::chrono::duration<double>(wall).count();
       if (result.breakdown) stats->breakdowns += 1;
     }
+    const auto wall_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(wall).count());
     GlobalSolverCounters& global = global_solver_counters();
     global.solves.add(1);
     global.iterations.add(result.iterations);
     if (result.breakdown) global.breakdowns.add(1);
-    global.wall_ns.add(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(wall).count()));
+    global.wall_ns.add(wall_ns);
+    obs::ThreadWork& work = obs::thread_work();
+    work.cg_iterations += result.iterations;
+    work.solver_wall_ns += wall_ns;
     obs::Registry& registry = obs::Registry::instance();
     if (registry.enabled()) {
       static obs::Histogram& iteration_histogram = registry.histogram(
@@ -185,7 +191,7 @@ SolveResult solve_cg(const SparseMatrix& a, const std::vector<double>& b,
       out.iterations = it;
       return finish(std::move(out));
     }
-    a.multiply_parallel(p, ap, options.threads);
+    a.multiply(p, ap);
     const double pap = dot(p, ap);
     if (!(pap > 0.0)) {  // negated compare also catches NaN curvature
       return break_down(it,
@@ -211,7 +217,9 @@ SolveResult solve_cg(const SparseMatrix& a, const std::vector<double>& b,
     const double rz_next = dot(r, z);
     const double beta = rz_next / rz;
     rz = rz_next;
-    for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
+    for_each_pair(n, [&](std::size_t i, auto load, auto store) {
+      store(p.data() + i, load(z.data() + i) + beta * load(p.data() + i));
+    });
   }
 
   out.iterations = options.max_iterations;
@@ -238,7 +246,7 @@ void report_solver_fallback(const SolveResult& failed, const char* action) {
 
 }  // namespace
 
-SolveResult solve_cg_resilient(const SparseMatrix& a,
+SolveResult solve_cg_resilient(const LinearOperator& a,
                                const std::vector<double>& b,
                                const SolverOptions& options,
                                std::vector<double> x0,

@@ -35,7 +35,7 @@ class Preconditioner {
 /// Diagonal (Jacobi) scaling: z_i = r_i / a_ii.
 class JacobiPreconditioner final : public Preconditioner {
  public:
-  explicit JacobiPreconditioner(const SparseMatrix& a);
+  explicit JacobiPreconditioner(const LinearOperator& a);
 
   void apply(std::span<const double> r, std::span<double> z) const override;
 
@@ -105,7 +105,6 @@ struct SolveResult {
 struct SolverOptions {
   double tolerance = 1e-9;      ///< relative residual target ||r||/||b||
   std::size_t max_iterations = 20000;
-  std::size_t threads = 1;      ///< worker threads for the SpMV
   /// When true (default), CG breakdown raises aqua::Error as before; when
   /// false, the solve returns with SolveResult::breakdown set so callers
   /// (solve_cg_resilient) can fall back instead of dying.
@@ -116,11 +115,12 @@ struct SolverOptions {
   double divergence_factor = 1e8;
 };
 
-/// Preconditioned conjugate gradients for SPD systems.
+/// Preconditioned conjugate gradients for SPD systems: a CSR matrix or the
+/// thermal grid's 7-point stencil (common/stencil.hpp).
 /// `x0` (optional) provides a warm start; pass an empty vector for zeros.
 /// `preconditioner` defaults to Jacobi when null; `stats` (optional)
 /// accumulates solve/iteration/wall-time counters.
-SolveResult solve_cg(const SparseMatrix& a, const std::vector<double>& b,
+SolveResult solve_cg(const LinearOperator& a, const std::vector<double>& b,
                      const SolverOptions& options = {},
                      std::vector<double> x0 = {},
                      const Preconditioner* preconditioner = nullptr,
@@ -136,7 +136,7 @@ SolveResult solve_cg(const SparseMatrix& a, const std::vector<double>& b,
 /// breakdown counts in the global solver.* counters (SolverStats), and a
 /// "fault_absorbed"/"degraded_result" run-report record is emitted per
 /// fallback. `label` names attempt 1 in the chain (e.g. "multigrid").
-SolveResult solve_cg_resilient(const SparseMatrix& a,
+SolveResult solve_cg_resilient(const LinearOperator& a,
                                const std::vector<double>& b,
                                const SolverOptions& options = {},
                                std::vector<double> x0 = {},

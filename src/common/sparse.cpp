@@ -1,7 +1,6 @@
 #include "common/sparse.hpp"
 
 #include <algorithm>
-#include <thread>
 
 namespace aqua {
 
@@ -16,48 +15,6 @@ void SparseMatrix::multiply(std::span<const double> x,
       acc += values_[k] * x[col_idx_[k]];
     }
     y[r] = acc;
-  }
-}
-
-void SparseMatrix::multiply_parallel(std::span<const double> x,
-                                     std::span<double> y,
-                                     std::size_t threads) const {
-  require(x.size() == cols_, "SpMV: x dimension mismatch");
-  require(y.size() == rows(), "SpMV: y dimension mismatch");
-  const std::size_t n = rows();
-  if (threads <= 1 || n < 4096) {
-    multiply(x, y);
-    return;
-  }
-  // Partition rows so every worker owns roughly nnz/threads nonzeros — the
-  // SpMV cost is per-nonzero, and boundary rows can be much denser than
-  // interior ones. row_ptr_ is non-decreasing, so the first row whose
-  // prefix-nnz exceeds t * nnz/threads is found by binary search.
-  const std::size_t nnz = values_.size();
-  std::vector<std::jthread> workers;
-  workers.reserve(threads);
-  std::size_t lo = 0;
-  for (std::size_t t = 0; t < threads && lo < n; ++t) {
-    std::size_t hi;
-    if (t + 1 == threads) {
-      hi = n;
-    } else {
-      const std::size_t target_nnz = (t + 1) * nnz / threads;
-      hi = static_cast<std::size_t>(
-          std::upper_bound(row_ptr_.begin(), row_ptr_.end(), target_nnz) -
-          row_ptr_.begin());
-      hi = std::clamp(hi == 0 ? 0 : hi - 1, lo + 1, n);
-    }
-    workers.emplace_back([this, &x, &y, lo, hi] {
-      for (std::size_t r = lo; r < hi; ++r) {
-        double acc = 0.0;
-        for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-          acc += values_[k] * x[col_idx_[k]];
-        }
-        y[r] = acc;
-      }
-    });
-    lo = hi;
   }
 }
 
@@ -91,22 +48,13 @@ void SparseMatrix::gauss_seidel_sweep(std::span<const double> b,
   }
 }
 
-std::size_t SparseMatrix::entry_index(std::size_t row, std::size_t col) const {
-  require(row < rows() && col < cols_, "entry_index out of range");
-  // Columns are sorted within a row (SparseBuilder invariant).
-  const auto begin = col_idx_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[row]);
-  const auto end = col_idx_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[row + 1]);
-  const auto it =
-      std::lower_bound(begin, end, static_cast<std::uint32_t>(col));
-  require(it != end && *it == col, "entry_index: entry structurally absent");
-  return static_cast<std::size_t>(it - col_idx_.begin());
-}
-
 SparseMatrix SparseBuilder::build() const {
+  // std::sort's moves depend only on its comparisons, and the packed keys
+  // compare as (row, col) pairs do, so duplicates meet in the same order
+  // (and sum to the same bits) as when entries were sorted by that pair.
   std::vector<Entry> sorted = entries_;
-  std::sort(sorted.begin(), sorted.end(), [](const Entry& a, const Entry& b) {
-    return a.row != b.row ? a.row < b.row : a.col < b.col;
-  });
+  std::sort(sorted.begin(), sorted.end(),
+            [](const Entry& a, const Entry& b) { return a.key < b.key; });
 
   SparseMatrix m;
   m.cols_ = cols_;
@@ -117,14 +65,14 @@ SparseMatrix SparseBuilder::build() const {
   std::size_t i = 0;
   for (std::size_t r = 0; r < rows_; ++r) {
     m.row_ptr_[r] = m.values_.size();
-    while (i < sorted.size() && sorted[i].row == r) {
-      const std::uint32_t c = sorted[i].col;
+    while (i < sorted.size() && sorted[i].key >> 32 == r) {
+      const std::uint64_t key = sorted[i].key;
       double acc = 0.0;
-      while (i < sorted.size() && sorted[i].row == r && sorted[i].col == c) {
+      while (i < sorted.size() && sorted[i].key == key) {
         acc += sorted[i].value;
         ++i;
       }
-      m.col_idx_.push_back(c);
+      m.col_idx_.push_back(static_cast<std::uint32_t>(key));
       m.values_.push_back(acc);
     }
   }

@@ -1,13 +1,15 @@
 #pragma once
 
-/// Compressed-sparse-row matrix and a COO-style assembler.
+/// The linear-operator interface the CG solver runs on, a compressed-
+/// sparse-row matrix and a COO-style assembler.
 ///
 /// The thermal grid model assembles its conductance matrix by accumulating
 /// pairwise conductances (classic finite-volume stamping); SparseBuilder
 /// supports duplicate-coordinate accumulation and converts to CSR once.
-/// Column indices are stored as 32 bits: the largest grids are a few
-/// hundred thousand nodes, and halving the index footprint measurably
-/// speeds up the memory-bound SpMV at the heart of the CG solver.
+/// The thermal solve itself runs on the 7-point StencilOperator converted
+/// from that CSR (common/stencil.hpp); SparseMatrix serves general
+/// matrices: the Gauss-Seidel reference solver, the Galerkin coarse-level
+/// assembly and the tests. Column indices are stored as 32 bits.
 
 #include <cstddef>
 #include <cstdint>
@@ -20,46 +22,46 @@ namespace aqua {
 
 class SparseBuilder;
 
-/// Immutable-structure CSR sparse matrix. Values may be updated in place
-/// through `set_value` / `value_at` (used by the thermal model to refresh
-/// boundary conductances without reassembling the matrix).
-class SparseMatrix {
+/// What the CG solver and the Jacobi preconditioner need of a matrix.
+class LinearOperator {
+ public:
+  LinearOperator() = default;
+  LinearOperator(const LinearOperator&) = default;
+  LinearOperator(LinearOperator&&) = default;
+  LinearOperator& operator=(const LinearOperator&) = default;
+  LinearOperator& operator=(LinearOperator&&) = default;
+  virtual ~LinearOperator() = default;
+
+  [[nodiscard]] virtual std::size_t rows() const = 0;
+  [[nodiscard]] virtual std::size_t cols() const = 0;
+
+  /// y = A * x. `y` must already have rows() elements and not alias `x`.
+  virtual void multiply(std::span<const double> x,
+                        std::span<double> y) const = 0;
+
+  /// Diagonal entries (0 where a row has no diagonal).
+  [[nodiscard]] virtual std::vector<double> diagonal() const = 0;
+};
+
+/// Immutable CSR sparse matrix, built by SparseBuilder.
+class SparseMatrix final : public LinearOperator {
  public:
   SparseMatrix() = default;
 
-  [[nodiscard]] std::size_t rows() const { return row_ptr_.empty() ? 0 : row_ptr_.size() - 1; }
-  [[nodiscard]] std::size_t cols() const { return cols_; }
+  [[nodiscard]] std::size_t rows() const override {
+    return row_ptr_.empty() ? 0 : row_ptr_.size() - 1;
+  }
+  [[nodiscard]] std::size_t cols() const override { return cols_; }
   [[nodiscard]] std::size_t nonzeros() const { return values_.size(); }
 
-  /// y = A * x. `y` must already have rows() elements.
-  void multiply(std::span<const double> x, std::span<double> y) const;
+  void multiply(std::span<const double> x,
+                std::span<double> y) const override;
 
-  /// Multi-threaded y = A * x (used by the CG solver on large grids).
-  /// Rows are partitioned so each worker gets an equal share of the
-  /// *nonzeros*, not the rows — boundary-heavy rows would otherwise skew
-  /// the per-thread work. Falls back to serial when threads <= 1.
-  void multiply_parallel(std::span<const double> x, std::span<double> y,
-                         std::size_t threads) const;
-
-  /// Diagonal entries (0 where a row has no diagonal). Used for Jacobi
-  /// preconditioning and Gauss-Seidel sweeps.
-  [[nodiscard]] std::vector<double> diagonal() const;
+  [[nodiscard]] std::vector<double> diagonal() const override;
 
   /// One Gauss-Seidel forward sweep in place on x for A x = b.
   void gauss_seidel_sweep(std::span<const double> b,
                           std::span<double> x) const;
-
-  /// Position of entry (row, col) inside the values() array; throws if the
-  /// entry is structurally absent. For value-refresh bookkeeping.
-  [[nodiscard]] std::size_t entry_index(std::size_t row,
-                                        std::size_t col) const;
-
-  /// Overwrites the value at position `k` (from entry_index). The sparsity
-  /// structure is immutable; only the numeric value changes.
-  void set_value(std::size_t k, double v) {
-    require(k < values_.size(), "set_value: index out of range");
-    values_[k] = v;
-  }
 
   /// Access to the raw CSR arrays (read-only, for tests and diagnostics).
   [[nodiscard]] std::span<const std::size_t> row_ptr() const { return row_ptr_; }
@@ -84,13 +86,14 @@ class SparseBuilder {
  public:
   SparseBuilder(std::size_t rows, std::size_t cols)
       : rows_(rows), cols_(cols) {
-    require(cols_ <= UINT32_MAX, "sparse matrix limited to 2^32 columns");
+    require(rows_ <= UINT32_MAX && cols_ <= UINT32_MAX,
+            "sparse matrix limited to 2^32 rows and columns");
   }
 
   /// Accumulates `value` into entry (row, col). Duplicate coordinates sum.
   void add(std::size_t row, std::size_t col, double value) {
     require(row < rows_ && col < cols_, "sparse entry out of range");
-    entries_.push_back({row, static_cast<std::uint32_t>(col), value});
+    entries_.push_back({std::uint64_t{row} << 32 | col, value});
   }
 
   [[nodiscard]] std::size_t rows() const { return rows_; }
@@ -102,9 +105,10 @@ class SparseBuilder {
   [[nodiscard]] SparseMatrix build() const;
 
  private:
+  // (row, col) packed as row << 32 | col: one integer compare orders
+  // entries by row, then column.
   struct Entry {
-    std::size_t row;
-    std::uint32_t col;
+    std::uint64_t key;
     double value;
   };
 

@@ -75,11 +75,9 @@ MetricKind classify_metric(std::string_view key) {
                              "_ms", "seconds"}) {
     if (has_suffix(base, suffix)) return MetricKind::kTiming;
   }
-  // The ledger's non-timing fields are snapshot-diffs of process-wide
-  // counters: approximate whenever cells run concurrently (see
-  // sweep/cost.hpp), so they cannot gate as deterministic work. The exact
-  // sweep-level twins (sweep_iterations, sweep_vcycles, sweep_cells) gate
-  // instead.
+  // The ledger's non-timing fields are per-cell work counts (see
+  // sweep/cost.hpp); they do not gate. Their sweep-level twins
+  // (sweep_iterations, sweep_vcycles, sweep_cells) gate instead.
   if (key.substr(0, 15) == "cost_breakdown.") return MetricKind::kIgnored;
   // Work-stealing counts follow thread scheduling, not the work done.
   if (key.substr(0, 7) == "steals_") return MetricKind::kIgnored;

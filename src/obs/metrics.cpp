@@ -8,6 +8,11 @@
 
 namespace aqua::obs {
 
+ThreadWork& thread_work() noexcept {
+  thread_local ThreadWork work;
+  return work;
+}
+
 Histogram::Histogram(std::vector<double> upper_bounds)
     : bounds_(std::move(upper_bounds)), counts_(bounds_.size() + 1) {
   if (bounds_.empty()) {

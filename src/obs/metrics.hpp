@@ -105,6 +105,21 @@ class Histogram {
 std::vector<double> exponential_bounds(double start, double factor,
                                        std::size_t count);
 
+/// Per-thread tallies of the work a sweep cell's cost ledger attributes.
+/// Each grows beside its process-wide registry counter (`solver.wall_ns`,
+/// `solver.cg_iterations`, `solver.vcycles`, `perf.events`), on the
+/// thread that did the work, so a diff taken around a compute on one
+/// thread counts that compute's work alone at any worker count.
+struct ThreadWork {
+  std::uint64_t solver_wall_ns = 0;
+  std::uint64_t cg_iterations = 0;
+  std::uint64_t vcycles = 0;
+  std::uint64_t des_events = 0;
+};
+
+/// The calling thread's tallies.
+ThreadWork& thread_work() noexcept;
+
 /// Named-instrument registry. Lookup/creation takes a mutex; returned
 /// references stay valid for the process lifetime.
 class Registry {

@@ -1098,6 +1098,7 @@ ExecStats CmpSystem::run() {
     runs.add(1);
     instructions.add(stats_.instructions);
     events.add(events_.scheduled());
+    obs::thread_work().des_events += events_.scheduled();
     // Active-network cycles whose mesh tick the pump skipped (nothing could
     // move; only the arbitration clock advanced).
     events_skipped.add(stats_.noc.cycles_skipped);

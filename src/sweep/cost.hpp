@@ -13,10 +13,9 @@ namespace aqua::sweep {
 
 /// One cell's phase attribution. All wall times are exact per cell; the
 /// work counters (cg_iterations / vcycles / solve wall / DES events) are
-/// snapshot-diffs of the process-wide registry counters around the
-/// compute, so with AQUA_SWEEP_WORKERS > 1 concurrent cells may attribute
-/// each other's work — exact in serial / 1-worker runs, approximate under
-/// parallelism (the totals are always right).
+/// diffs of the computing thread's own work tallies (obs::thread_work)
+/// around the compute, so they are exact at any worker count and sum to
+/// the sweep's totals.
 struct CellCost {
   double total_us = 0.0;      ///< whole SweepRunner::run call
   double key_us = 0.0;        ///< canonical-key rendering

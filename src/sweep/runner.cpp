@@ -21,22 +21,6 @@ double us_since(SteadyClock::time_point start) {
       .count();
 }
 
-/// Cached references to the registry counters the ledger snapshot-diffs
-/// around a compute (registry lookup once, relaxed loads after).
-struct WorkCounters {
-  obs::Counter& solver_wall_ns =
-      obs::Registry::instance().counter("solver.wall_ns");
-  obs::Counter& cg_iterations =
-      obs::Registry::instance().counter("solver.cg_iterations");
-  obs::Counter& vcycles = obs::Registry::instance().counter("solver.vcycles");
-  obs::Counter& des_events = obs::Registry::instance().counter("perf.events");
-};
-
-WorkCounters& work_counters() {
-  static WorkCounters counters;
-  return counters;
-}
-
 }  // namespace
 
 std::string resume_path_from_env() {
@@ -233,14 +217,11 @@ CellSource SweepRunner::run(
 
   // 5. Compute, isolate-and-continue. Failed cells are never memoized (a
   // later identical cell retries, matching the serial semantics) and never
-  // cached. The work counters around the compute attribute solver wall /
-  // CG iterations / V-cycles / DES events to this cell (exact in serial
-  // runs, approximate when concurrent cells interleave — see cost.hpp).
-  WorkCounters& work = work_counters();
-  const std::uint64_t wall_before = work.solver_wall_ns.value();
-  const std::uint64_t iters_before = work.cg_iterations.value();
-  const std::uint64_t vcycles_before = work.vcycles.value();
-  const std::uint64_t events_before = work.des_events.value();
+  // cached. The compute runs on this thread, so diffing this thread's work
+  // tallies around it attributes exactly its solver wall / CG iterations /
+  // V-cycles / DES events to this cell, at any worker count.
+  const obs::ThreadWork& work = obs::thread_work();
+  const obs::ThreadWork before = work;
   const auto compute_start = SteadyClock::now();
   std::map<std::string, double> values;
   try {
@@ -256,10 +237,10 @@ CellSource SweepRunner::run(
   }
   cost.compute_us += us_since(compute_start);
   cost.solve_us +=
-      static_cast<double>(work.solver_wall_ns.value() - wall_before) / 1e3;
-  cost.cg_iterations += work.cg_iterations.value() - iters_before;
-  cost.vcycles += work.vcycles.value() - vcycles_before;
-  cost.des_events += work.des_events.value() - events_before;
+      static_cast<double>(work.solver_wall_ns - before.solver_wall_ns) / 1e3;
+  cost.cg_iterations += work.cg_iterations - before.cg_iterations;
+  cost.vcycles += work.vcycles - before.vcycles;
+  cost.des_events += work.des_events - before.des_events;
 
   // A leader cancelled mid-compute discards its values: nothing is
   // journaled, cached, or published (the abandoned-leader contract —

@@ -187,29 +187,17 @@ void StackThermalModel::assemble() {
     }
   }
 
-  matrix_ = builder.build();
+  conductance_ = std::make_unique<StencilOperator>(
+      StencilOperator::from_csr(builder.build(), grid_shape()));
 
-  // Record the CSR diagonal positions of the boundary rows and their
-  // interior-only ("base") values; apply_boundary_values() then writes
-  // base + g_boundary into them, now and on every set_boundary call.
-  top_diag_pos_.clear();
-  bottom_diag_pos_.clear();
-  top_diag_base_.clear();
-  bottom_diag_base_.clear();
-  top_diag_pos_.reserve(ncells);
-  bottom_diag_pos_.reserve(ncells);
-  const std::size_t sink = n_layers - 1;
-  for (std::size_t iy = 0; iy < ny; ++iy) {
-    for (std::size_t ix = 0; ix < nx; ++ix) {
-      const std::size_t top_node = node(sink, ix, iy);
-      const std::size_t bottom_node = node(0, ix, iy);
-      top_diag_pos_.push_back(matrix_.entry_index(top_node, top_node));
-      bottom_diag_pos_.push_back(
-          matrix_.entry_index(bottom_node, bottom_node));
-      top_diag_base_.push_back(matrix_.values()[top_diag_pos_.back()]);
-      bottom_diag_base_.push_back(matrix_.values()[bottom_diag_pos_.back()]);
-    }
-  }
+  // The interior-only ("base") diagonals of the boundary layers;
+  // apply_boundary_values() writes base + g_boundary over them, now and on
+  // every set_boundary call.
+  const std::span<const double> diag = conductance_->plane(Face::kDiag);
+  const std::span<const double> top = diag.last(ncells);
+  const std::span<const double> bottom = diag.first(ncells);
+  top_diag_base_.assign(top.begin(), top.end());
+  bottom_diag_base_.assign(bottom.begin(), bottom.end());
 
   apply_boundary_values();
   multigrid_.reset();
@@ -253,10 +241,11 @@ void StackThermalModel::apply_boundary_values() {
   r += 1.0 / (boundary_.bottom_htc.value() * a_cell_board);
   bottom_g_per_cell_ = 1.0 / r;
 
+  const std::span<double> diag = conductance_->plane(Face::kDiag);
+  const std::span<double> top = diag.last(ncells);
   for (std::size_t c = 0; c < ncells; ++c) {
-    matrix_.set_value(top_diag_pos_[c], top_diag_base_[c] + top_g_per_cell_);
-    matrix_.set_value(bottom_diag_pos_[c],
-                      bottom_diag_base_[c] + bottom_g_per_cell_);
+    top[c] = top_diag_base_[c] + top_g_per_cell_;
+    diag[c] = bottom_diag_base_[c] + bottom_g_per_cell_;
   }
 }
 
@@ -266,7 +255,7 @@ void StackThermalModel::set_boundary(const ThermalBoundary& boundary) {
   apply_boundary_values();
   // The hierarchy's index structure survives a value refresh; the previous
   // solution stays as a warm start (still a valid initial guess).
-  if (multigrid_) multigrid_->refresh_values(matrix_);
+  if (multigrid_) multigrid_->refresh_values();
 }
 
 const Preconditioner* StackThermalModel::preconditioner() {
@@ -274,8 +263,7 @@ const Preconditioner* StackThermalModel::preconditioner() {
     return nullptr;  // solve_cg falls back to Jacobi
   }
   if (!multigrid_) {
-    multigrid_ =
-        std::make_unique<MultigridPreconditioner>(matrix_, grid_shape());
+    multigrid_ = std::make_unique<MultigridPreconditioner>(*conductance_);
     vcycles_seen_ = 0;
   }
   return multigrid_.get();
@@ -308,7 +296,7 @@ ThermalSolution StackThermalModel::solve_steady(
   // falls back multigrid -> jacobi -> relaxed jacobi (DESIGN.md §8).
   const Preconditioner* precond = preconditioner();
   last_solve_ =
-      solve_cg_resilient(matrix_, rhs, options_.solver, warm_start_, precond,
+      solve_cg_resilient(*conductance_, rhs, options_.solver, warm_start_, precond,
                          &stats_, precond != nullptr ? "multigrid" : "jacobi");
   ensure(last_solve_.converged, "steady-state thermal solve did not converge");
   if (multigrid_) {

@@ -16,13 +16,15 @@
 /// (they are nearly isothermal in reality) and as the full fin area in the
 /// convective boundary term.
 ///
-/// Solver path: the assembled conductance matrix's *structure* depends only
-/// on (stack, grid); the cooling option enters exclusively through the
-/// boundary conductances on the top/bottom layer diagonals. `set_boundary`
-/// therefore refreshes those values in place — no reassembly — and the
-/// cached multigrid hierarchy is value-refreshed along with it. This is
-/// what makes coolant sweeps (Figs. 7/8/17) cheap: one model per stack,
-/// five boundary swaps.
+/// Solver path: the conductance matrix is assembled as CSR through
+/// SparseBuilder once, then converted to a 7-point StencilOperator
+/// (common/stencil.hpp) and the CSR dropped; CG and the multigrid V-cycle
+/// run on the stencil. Its *structure* depends only on (stack, grid); the
+/// cooling option enters exclusively through the boundary conductances on
+/// the top/bottom layer diagonals. `set_boundary` therefore rewrites those
+/// diagonal values in place — no reassembly — and the cached multigrid
+/// hierarchy is value-refreshed along with it. This is what makes coolant
+/// sweeps (Figs. 7/8/17) cheap: one model per stack, five boundary swaps.
 
 #include <cstddef>
 #include <memory>
@@ -30,7 +32,7 @@
 
 #include "common/multigrid.hpp"
 #include "common/solvers.hpp"
-#include "common/sparse.hpp"
+#include "common/stencil.hpp"
 #include "floorplan/stack.hpp"
 #include "thermal/package.hpp"
 
@@ -111,7 +113,7 @@ class StackThermalModel {
       const std::vector<double>& block_powers);
 
   /// Swaps the boundary conditions (cooling option) in place: only the
-  /// boundary-row conductance values change, so the CSR structure, the
+  /// boundary-row conductance values change, so the operator, the
   /// multigrid hierarchy's index arrays and the warm-start survive. A
   /// no-op when `boundary` equals the current one.
   void set_boundary(const ThermalBoundary& boundary);
@@ -121,8 +123,10 @@ class StackThermalModel {
   [[nodiscard]] const ThermalBoundary& boundary() const { return boundary_; }
   [[nodiscard]] const GridOptions& options() const { return options_; }
 
-  /// The assembled conductance matrix (for tests / diagnostics).
-  [[nodiscard]] const SparseMatrix& conductance() const { return matrix_; }
+  /// The assembled conductance matrix.
+  [[nodiscard]] const StencilOperator& conductance() const {
+    return *conductance_;
+  }
 
   /// Grid topology of the assembled system (die layers + spreader +
   /// heatsink on the nx x ny plane) — what the multigrid coarsening needs.
@@ -176,16 +180,16 @@ class StackThermalModel {
   GridOptions options_;
 
   std::size_t node_count_ = 0;
-  SparseMatrix matrix_;
+  // On the heap so its address, which the multigrid hierarchy holds as
+  // level 0, survives a move of the model.
+  std::unique_ptr<StencilOperator> conductance_;
   std::vector<double> capacities_;
   std::vector<double> warm_start_;
   SolveResult last_solve_;
   SolverStats stats_;
 
-  // Boundary-row bookkeeping for the in-place value refresh: CSR positions
-  // of the top/bottom boundary diagonals and their interior-only values.
-  std::vector<std::size_t> top_diag_pos_;
-  std::vector<std::size_t> bottom_diag_pos_;
+  // Interior-only diagonal values of the top/bottom boundary layers, which
+  // apply_boundary_values() adds the boundary conductances to.
   std::vector<double> top_diag_base_;
   std::vector<double> bottom_diag_base_;
 

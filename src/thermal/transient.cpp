@@ -9,20 +9,18 @@ namespace aqua {
 
 namespace {
 
-/// Builds C/dt + G from the steady conductance matrix by adding the
+/// Builds C/dt + G from the steady conductance operator by adding the
 /// capacity term on the diagonal.
-SparseMatrix build_stepping_matrix(const SparseMatrix& g,
-                                   const std::vector<double>& capacities,
-                                   double dt) {
+StencilOperator build_stepping_operator(const StencilOperator& g,
+                                        const std::vector<double>& capacities,
+                                        double dt) {
   require(dt > 0.0, "transient dt must be positive");
-  SparseBuilder builder(g.rows(), g.cols());
-  for (std::size_t r = 0; r < g.rows(); ++r) {
-    for (std::size_t k = g.row_ptr()[r]; k < g.row_ptr()[r + 1]; ++k) {
-      builder.add(r, g.col_idx()[k], g.values()[k]);
-    }
-    builder.add(r, r, capacities[r] / dt);
+  StencilOperator stepping = g;
+  const std::span<double> diag = stepping.plane(Face::kDiag);
+  for (std::size_t i = 0; i < diag.size(); ++i) {
+    diag[i] = diag[i] + capacities[i] / dt;
   }
-  return builder.build();
+  return stepping;
 }
 
 }  // namespace
@@ -31,7 +29,7 @@ TransientSolver::TransientSolver(StackThermalModel& model,
                                  TransientOptions options)
     : model_(model),
       options_(options),
-      stepping_matrix_(build_stepping_matrix(
+      stepping_(build_stepping_operator(
           model.conductance(), model.capacities(), options.dt_seconds)),
       theta_(model.node_count(), 0.0) {}
 
@@ -83,7 +81,7 @@ std::vector<TransientSample> TransientSolver::continue_run(
       rhs[i] = cap[i] / dt * theta_[i] + p[i];
     }
     SolveResult result =
-        solve_cg(stepping_matrix_, rhs, options_.solver, theta_);
+        solve_cg(stepping_, rhs, options_.solver, theta_);
     ensure(result.converged, "transient step solve did not converge");
     theta_ = std::move(result.x);
     now_s_ = t_now;

@@ -6,7 +6,7 @@
 /// analysis as the natural extension (Sections 3.2 / 4.3); this module
 /// provides it: implicit (backward Euler) integration of
 ///     C dT/dt = -G T + P(t)
-/// reusing the steady model's conductance matrix and per-node capacities.
+/// reusing the steady model's conductance operator and per-node capacities.
 
 #include <functional>
 #include <vector>
@@ -70,7 +70,7 @@ class TransientSolver {
  private:
   StackThermalModel& model_;
   TransientOptions options_;
-  SparseMatrix stepping_matrix_;  // C/dt + G
+  StencilOperator stepping_;       // C/dt + G
   std::vector<double> theta_;     // field relative to ambient
   double now_s_ = 0.0;
 };

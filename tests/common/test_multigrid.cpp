@@ -8,6 +8,7 @@
 #include "common/rng.hpp"
 #include "common/solvers.hpp"
 #include "common/sparse.hpp"
+#include "common/stencil.hpp"
 
 namespace aqua {
 namespace {
@@ -16,8 +17,8 @@ namespace {
 /// stack: strong lateral coupling inside each layer, weak vertical coupling
 /// across layers (the glue interfaces), and a ground term on the top and
 /// bottom layer diagonals (the convective boundaries). SPD by construction.
-SparseMatrix stack_like_matrix(const GridShape& g, double lateral = 1.0,
-                               double vertical = 0.01, double ground = 0.1) {
+SparseMatrix stack_like_csr(const GridShape& g, double lateral = 1.0,
+                            double vertical = 0.01, double ground = 0.1) {
   SparseBuilder b(g.nodes(), g.nodes());
   auto idx = [&](std::size_t l, std::size_t ix, std::size_t iy) {
     return l * g.nx * g.ny + iy * g.nx + ix;
@@ -42,7 +43,12 @@ SparseMatrix stack_like_matrix(const GridShape& g, double lateral = 1.0,
   return b.build();
 }
 
-std::vector<double> manufactured_rhs(const SparseMatrix& a,
+/// The same matrix as a 7-point stencil operator on `g`.
+StencilOperator stack_like_matrix(const GridShape& g) {
+  return StencilOperator::from_csr(stack_like_csr(g), g);
+}
+
+std::vector<double> manufactured_rhs(const StencilOperator& a,
                                      std::vector<double>* x_star) {
   // Smooth manufactured solution x*(i) so b = A x* has a known answer.
   x_star->resize(a.rows());
@@ -57,28 +63,30 @@ std::vector<double> manufactured_rhs(const SparseMatrix& a,
 
 TEST(Multigrid, BuildsMultipleLevels) {
   const GridShape g{32, 32, 6};
-  const SparseMatrix a = stack_like_matrix(g);
-  const MultigridPreconditioner mg(a, g);
+  const StencilOperator a = stack_like_matrix(g);
+  const MultigridPreconditioner mg(a);
   EXPECT_GE(mg.level_count(), 3u);
   EXPECT_EQ(mg.fine_shape().nx, 32u);
 }
 
 TEST(Multigrid, RejectsShapeMismatch) {
   const GridShape g{8, 8, 2};
-  const SparseMatrix a = stack_like_matrix(g);
-  EXPECT_THROW(MultigridPreconditioner(a, GridShape{8, 8, 3}), Error);
+  const SparseMatrix a = stack_like_csr(g);
+  EXPECT_THROW(
+      MultigridPreconditioner(StencilOperator::from_csr(a, GridShape{8, 8, 3})),
+      Error);
 }
 
 TEST(Multigrid, MgCgMatchesJacobiCgOnManufacturedSolution) {
   const GridShape g{32, 32, 6};
-  const SparseMatrix a = stack_like_matrix(g);
+  const StencilOperator a = stack_like_matrix(g);
   std::vector<double> x_star;
   const std::vector<double> b = manufactured_rhs(a, &x_star);
 
   SolverOptions opts;
   opts.tolerance = 1e-11;
   const SolveResult jacobi = solve_cg(a, b, opts);
-  const MultigridPreconditioner mg(a, g);
+  const MultigridPreconditioner mg(a);
   const SolveResult mgcg = solve_cg(a, b, opts, {}, &mg);
 
   ASSERT_TRUE(jacobi.converged);
@@ -91,12 +99,12 @@ TEST(Multigrid, MgCgMatchesJacobiCgOnManufacturedSolution) {
 
 TEST(Multigrid, CutsIterationsVsJacobi) {
   const GridShape g{32, 32, 6};
-  const SparseMatrix a = stack_like_matrix(g);
+  const StencilOperator a = stack_like_matrix(g);
   std::vector<double> x_star;
   const std::vector<double> b = manufactured_rhs(a, &x_star);
 
   const SolveResult jacobi = solve_cg(a, b);
-  const MultigridPreconditioner mg(a, g);
+  const MultigridPreconditioner mg(a);
   const SolveResult mgcg = solve_cg(a, b, {}, {}, &mg);
 
   ASSERT_TRUE(jacobi.converged);
@@ -109,8 +117,8 @@ TEST(Multigrid, CutsIterationsVsJacobi) {
 TEST(Multigrid, ApplyIsSymmetric) {
   // CG requires a symmetric preconditioner: <M r, s> == <r, M s>.
   const GridShape g{16, 16, 4};
-  const SparseMatrix a = stack_like_matrix(g);
-  const MultigridPreconditioner mg(a, g);
+  const StencilOperator a = stack_like_matrix(g);
+  const MultigridPreconditioner mg(a);
 
   Xoshiro256 rng(7);
   std::vector<double> r(g.nodes());
@@ -134,25 +142,25 @@ TEST(Multigrid, ApplyIsSymmetric) {
 
 TEST(Multigrid, RefreshValuesTracksInPlaceEdits) {
   const GridShape g{16, 16, 4};
-  SparseMatrix a = stack_like_matrix(g);
-  MultigridPreconditioner mg(a, g);
+  StencilOperator a = stack_like_matrix(g);
+  MultigridPreconditioner mg(a);
 
   // Bump every boundary-layer diagonal in place (what set_boundary does)
   // and refresh; the hierarchy must now precondition the *new* matrix as
   // well as one built from scratch.
+  const std::span<double> diag = a.plane(Face::kDiag);
   for (std::size_t iy = 0; iy < g.ny; ++iy) {
     for (std::size_t ix = 0; ix < g.nx; ++ix) {
       const std::size_t top = (g.layers - 1) * g.nx * g.ny + iy * g.nx + ix;
-      const std::size_t k = a.entry_index(top, top);
-      a.set_value(k, a.values()[k] + 25.0);
+      diag[top] += 25.0;
     }
   }
-  mg.refresh_values(a);
+  mg.refresh_values();
 
   std::vector<double> x_star;
   const std::vector<double> b = manufactured_rhs(a, &x_star);
   const SolveResult refreshed = solve_cg(a, b, {}, {}, &mg);
-  const MultigridPreconditioner fresh(a, g);
+  const MultigridPreconditioner fresh(a);
   const SolveResult rebuilt = solve_cg(a, b, {}, {}, &fresh);
 
   ASSERT_TRUE(refreshed.converged);
@@ -165,8 +173,8 @@ TEST(Multigrid, RefreshValuesTracksInPlaceEdits) {
 
 TEST(Multigrid, CountsVcycles) {
   const GridShape g{8, 8, 2};
-  const SparseMatrix a = stack_like_matrix(g);
-  const MultigridPreconditioner mg(a, g);
+  const StencilOperator a = stack_like_matrix(g);
+  const MultigridPreconditioner mg(a);
   std::vector<double> b(g.nodes(), 1.0);
   const SolveResult r = solve_cg(a, b, {}, {}, &mg);
   ASSERT_TRUE(r.converged);
@@ -176,7 +184,7 @@ TEST(Multigrid, CountsVcycles) {
 
 TEST(Multigrid, SolverStatsAccumulate) {
   const GridShape g{8, 8, 2};
-  const SparseMatrix a = stack_like_matrix(g);
+  const StencilOperator a = stack_like_matrix(g);
   std::vector<double> b(g.nodes(), 1.0);
   SolverStats stats;
   const SolveResult r1 = solve_cg(a, b, {}, {}, nullptr, &stats);

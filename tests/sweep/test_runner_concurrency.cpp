@@ -3,7 +3,8 @@
 /// computes each canonical key exactly once under 8 workers with injected
 /// per-cell delays, a failed leader is retried (and never memoized or
 /// cached), poison outranks a warm cache in both directions, and failing
-/// cells stay isolated from their siblings.
+/// cells stay isolated from their siblings. The cost ledger's per-cell work
+/// counters stay exact when cells run concurrently.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,10 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/experiments.hpp"
+#include "obs/report.hpp"
+#include "obs/trace_reader.hpp"
+#include "power/chip_model.hpp"
 #include "sweep/cache.hpp"
 #include "sweep/cell_key.hpp"
 #include "sweep/runner.hpp"
@@ -471,6 +476,64 @@ TEST(RunnerCancellation, InterruptFlagStopsNewCellsAndResumesBitIdentical) {
   }
   ::unsetenv(sweep::kResumeEnv);
   std::filesystem::remove(journal);
+}
+
+TEST(RunnerConcurrency, CellCostWorkIsExactAtFourWorkers) {
+  // A cold Fig. 7 sweep at 4 workers with the run report on: each
+  // cell_cost record must count only its own cell's solver work, so no
+  // cell's solve time exceeds its compute time and the per-cell CG
+  // iterations add up to the sweep's total.
+  ::unsetenv(sweep::kResumeEnv);
+  SweepCache::instance().configure("");
+  const std::string path =
+      std::string(::testing::TempDir()) + "aqua_cell_cost_w4.jsonl";
+  std::filesystem::remove(path);
+  obs::RunReport& report = obs::RunReport::instance();
+  const std::string previous_path = report.path();
+  const bool was_enabled = report.enabled();
+  report.set_path(path);
+  report.set_enabled(true);
+  TaskEngine& engine = TaskEngine::shared();
+  const std::size_t previous_workers = engine.workers();
+  engine.configure(4);
+
+  const FreqVsChipsData data =
+      frequency_vs_chips(make_low_power_cmp(), 6, 80.0, GridOptions{});
+
+  engine.configure(previous_workers);
+  report.set_enabled(was_enabled);
+  report.set_path(previous_path);  // closes the capture file
+  const std::vector<obs::JsonValue> records = obs::load_jsonl_file(path);
+  std::filesystem::remove(path);
+
+  const auto number = [](const obs::JsonValue& record, const char* key) {
+    const obs::JsonValue* v = record.find(key);
+    EXPECT_NE(v, nullptr) << key;
+    return v != nullptr ? v->number : 0.0;
+  };
+  std::size_t cells = 0;
+  std::size_t computed = 0;
+  double cg_iterations = 0.0;
+  const obs::JsonValue* sweep_record = nullptr;
+  for (const obs::JsonValue& record : records) {
+    const obs::JsonValue* kind = record.find("kind");
+    ASSERT_NE(kind, nullptr);
+    if (kind->string == "sweep") sweep_record = &record;
+    if (kind->string != "cell_cost") continue;
+    ++cells;
+    const obs::JsonValue* source = record.find("source");
+    ASSERT_NE(source, nullptr);
+    if (source->string == "computed") ++computed;
+    EXPECT_LE(number(record, "solve_us"), number(record, "compute_us"))
+        << record.find("cell")->string;
+    cg_iterations += number(record, "cg_iterations");
+  }
+  EXPECT_EQ(cells, 30u);  // 6 heights x 5 coolings
+  EXPECT_GT(data.solver.iterations, 0u);
+  EXPECT_EQ(cg_iterations, static_cast<double>(data.solver.iterations));
+  ASSERT_NE(sweep_record, nullptr);
+  EXPECT_EQ(number(*sweep_record, "cells"), static_cast<double>(cells));
+  EXPECT_EQ(number(*sweep_record, "computed"), static_cast<double>(computed));
 }
 
 }  // namespace
